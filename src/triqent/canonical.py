@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadNormalization, NumericalError, ValidationError
-from .entanglement import bloch_triple, tangle
+from .entanglement import _pencil, bloch_triple, tangle
 from .qstate import PureState3, SliceTensors, slice_state
 
 # absolute tolerance under which a canonical coefficient counts as zero when
@@ -113,14 +113,7 @@ def det_zero_solutions(st: SliceTensors) -> DetZeroBranches:
     """
     T0 = np.asarray(st.T0, dtype=complex)
     T1 = np.asarray(st.T1, dtype=complex)
-    a = _det2(T1)
-    c = _det2(T0)
-    m = (
-        T0[0, 0] * T1[1, 1]
-        + T1[0, 0] * T0[1, 1]
-        - T0[0, 1] * T1[1, 0]
-        - T1[0, 1] * T0[1, 0]
-    )
+    c, m, a = _pencil(T0, T1)
     degenerate = False
     if abs(a) > _TINY:
         disc = m * m - 4.0 * a * c

@@ -7,7 +7,6 @@ each level's tangle is under a symmetry-breaking perturbation.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -336,6 +335,27 @@ def _at_fusion(name: str, n: int, d: float) -> bool:
     return name == "tfim" and n in (2, 3) and abs(d - 1.0) <= GAP_TOL
 
 
+def _fused_member(name: str, n: int, d: float,
+                  params: SuperpositionParams | None) -> bool:
+    """Whether params pick a member of the fused transverse-field subspace.
+
+    Three-component params describe only that subspace (levels 2 and 3 at
+    delta = 1); anywhere else they are refused.
+    """
+    if params is None or params.n_components != 3:
+        return False
+    if name != "tfim" or n not in (2, 3):
+        raise ValidationError(
+            "three-component params only describe the fused subspace of "
+            "the transverse-field chain, levels 2 and 3"
+        )
+    if abs(d - 1.0) > GAP_TOL:
+        raise CrossingPoint(
+            f"levels 2 and 3 only fuse at delta = 1, got delta = {d}"
+        )
+    return True
+
+
 def closed_form_eigenstate(model, n: int, delta: float | None = None,
                            params: SuperpositionParams | None = None) -> PureState3:
     """Exact eigenstate of level n, as a normalized state.
@@ -349,16 +369,7 @@ def closed_form_eigenstate(model, n: int, delta: float | None = None,
     cm = _as_model(model, delta)
     name, d = cm.name, cm.delta
     n = _check_level(name, n)
-    if params is not None and params.n_components == 3:
-        if name != "tfim" or n not in (2, 3):
-            raise ValidationError(
-                "three-component params only describe the fused subspace of "
-                "the transverse-field chain, levels 2 and 3"
-            )
-        if abs(d - 1.0) > GAP_TOL:
-            raise CrossingPoint(
-                f"levels 2 and 3 only fuse at delta = 1, got delta = {d}"
-            )
+    if _fused_member(name, n, d, params):
         g, al, be = params.gamma, params.alpha, params.beta
         return PureState3(g * _FUSED_KET + al * WT1_KET + be * WT2_KET)
     family = _DEG_FAMILY.get((name, n))
@@ -387,16 +398,7 @@ def closed_form_tangle(model, n: int, delta: float | None = None,
     cm = _as_model(model, delta)
     name, d = cm.name, cm.delta
     n = _check_level(name, n)
-    if params is not None and params.n_components == 3:
-        if name != "tfim" or n not in (2, 3):
-            raise ValidationError(
-                "three-component params only describe the fused subspace of "
-                "the transverse-field chain, levels 2 and 3"
-            )
-        if abs(d - 1.0) > GAP_TOL:
-            raise CrossingPoint(
-                f"levels 2 and 3 only fuse at delta = 1, got delta = {d}"
-            )
+    if _fused_member(name, n, d, params):
         g, al, be = complex(params.gamma), complex(params.alpha), complex(params.beta)
         xi = al * _OMEGA.conjugate() + be * _OMEGA
         eta = al * _OMEGA + be * _OMEGA.conjugate()
@@ -601,10 +603,6 @@ def _family_members(size: int, policy: str, rng: np.random.Generator):
             yield _random_params(size, rng)
 
 
-def _labels_of(state: PureState3) -> SymmetryLabels:
-    return symmetry_labels(state)
-
-
 def _sweep_point(name: str, d: float, policy: str, perturb: float,
                  seed: int, index: int) -> list[SweepRecord]:
     h = build_hamiltonian(name, d)
@@ -618,7 +616,7 @@ def _sweep_point(name: str, d: float, policy: str, perturb: float,
         for j in range(8):
             group = int(np.sum(np.abs(evals - evals[j]) <= GAP_TOL))
             state = PureState3(vecs[:, j])
-            lab = _labels_of(state)
+            lab = symmetry_labels(state)
             bt = bloch_triple(state)
             records.append(SweepRecord(
                 delta=d, n=j, energy_numeric=float(evals[j]), energy_closed=None,
@@ -651,7 +649,7 @@ def _sweep_point(name: str, d: float, policy: str, perturb: float,
         for params in members:
             state = closed_form_eigenstate(name, n, d, params)
             tau_cl = closed_form_tangle(name, n, d, params)
-            lab = _labels_of(state)
+            lab = symmetry_labels(state)
             bt = bloch_triple(state)
             records.append(SweepRecord(
                 delta=d, n=n, energy_numeric=e_num, energy_closed=e_closed,
@@ -663,7 +661,7 @@ def _sweep_point(name: str, d: float, policy: str, perturb: float,
 
 
 def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
-          seed: int = 0, threads: int = 1) -> list[SweepRecord]:
+          seed: int = 0) -> list[SweepRecord]:
     """Evaluate every level over a coupling grid.
 
     Unperturbed sweeps pair each closed-form level with its numeric energy
@@ -682,11 +680,5 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
     grid = [float(d) for d in delta_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError("delta grid must be strictly increasing")
-    args = [(name, d, params_policy, float(perturb), int(seed), i)
-            for i, d in enumerate(grid)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            chunks = list(pool.map(lambda a: _sweep_point(*a), args))
-    else:
-        chunks = [_sweep_point(*a) for a in args]
-    return [rec for chunk in chunks for rec in chunk]
+    return [rec for i, d in enumerate(grid)
+            for rec in _sweep_point(name, d, params_policy, float(perturb), int(seed), i)]

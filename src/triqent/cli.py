@@ -206,8 +206,8 @@ def _cmd_sample(args) -> tuple[str, int]:
     for i, kind in enumerate(kinds):
         sub = int(np.random.default_rng([args.seed, i]).integers(1 << 32))
         amps = qstate._sample_type_batch(kind, args.n, sub)
-        r = entanglement._bloch_norms_batch(amps)
-        tau = entanglement._tangle_batch(amps)
+        r, _, hdet = entanglement.invariants(amps)
+        tau = 4.0 * np.abs(hdet)
         for j in range(args.n):
             bt = entanglement.BlochTriple(*map(float, r[j]))
             rows.append((kind, bt.r_a, bt.r_b, bt.r_c, polytope.big_r(bt),
@@ -220,15 +220,13 @@ def _cmd_sweep(args) -> tuple[str, int]:
         raise ValidationError(f"points must be >= 1, got {args.points}")
     grid = [float(d) for d in np.linspace(args.delta_min, args.delta_max, args.points)]
     records = chains.sweep(args.model, grid, params_policy=args.params_policy,
-                           perturb=args.perturb, seed=args.seed,
-                           threads=args.threads)
+                           perturb=args.perturb, seed=args.seed)
     rows = [tuple(getattr(rec, f) for f in chains.SWEEP_FIELDS) for rec in records]
     return _table(chains.SWEEP_FIELDS, rows, args.format), 0
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    results = verify.run_checks(names=args.check, seed=args.seed,
-                                threads=args.threads)
+    results = verify.run_checks(names=args.check, seed=args.seed)
     code = 0 if all(r.passed for r in results) else 3
     if args.format == "text":
         lines = [f"{'ok  ' if r.passed else 'FAIL'} {r.name}: {r.detail}"
@@ -250,8 +248,6 @@ def _add_common(sp, default_format: str) -> None:
                     help="write to this file instead of stdout")
     sp.add_argument("--seed", type=int, default=None,
                     help="RNG seed (default: TRIQENT_SEED env var, else 0)")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads for batched subcommands")
 
 
 def _add_state(sp) -> None:

@@ -1,5 +1,11 @@
 """Entanglement observables: reduced densities, Bloch data, entropies,
-concurrences, the Cayley hyperdeterminant, and the tangle."""
+concurrences, the Cayley hyperdeterminant, and the tangle.
+
+invariants is the one implementation of the Bloch norms, pair concurrences
+and hyperdeterminant, over (n, 8) amplitude rows. The scalar functions read
+a state's row of it, which PureState3.invariants computes once per state;
+reduce_one is the density-matrix route kept as an accessor and reference.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -7,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, OutOfRange, ValidationError
-from .qstate import PureState3
+from .qstate import QUBITS, PureState3
 
 PAIRS = ("AB", "AC", "BC")
 
@@ -60,11 +66,7 @@ def reduce_one(s: PureState3, qubit: str) -> Qubit1Density:
 
 
 def bloch_triple(s: PureState3) -> BlochTriple:
-    return BlochTriple(
-        r_a=reduce_one(s, "A").r,
-        r_b=reduce_one(s, "B").r,
-        r_c=reduce_one(s, "C").r,
-    )
+    return BlochTriple(*map(float, s.invariants[0]))
 
 
 def entropy_from_norm(r: float, bits: bool = False) -> float:
@@ -86,7 +88,9 @@ def entropy_from_norm(r: float, bits: bool = False) -> float:
 
 def concurrence_one_vs_rest(s: PureState3, qubit: str) -> float:
     """Concurrence of one qubit against the other two: sqrt(1 - r^2)."""
-    r = reduce_one(s, qubit).r
+    if qubit not in QUBITS:
+        raise ValidationError(f"qubit must be one of {QUBITS}, got {qubit!r}")
+    r = float(s.invariants[0][QUBITS.index(qubit)])
     return float(np.sqrt(max(0.0, 1.0 - r * r)))
 
 
@@ -95,50 +99,16 @@ def _pair_rho(s: PureState3, pair: str) -> np.ndarray:
     return np.einsum(_PAIR_SPEC[pair], t, t.conj()).reshape(4, 4)
 
 
-_PAIR_AXES = {"AB": (0, 1, 2), "AC": (0, 2, 1), "BC": (1, 2, 0)}
-
-
 def concurrence_pair(s: PureState3, pair: str) -> float:
-    """Wootters concurrence of a two-qubit marginal.
-
-    The complement of the pair is a single qubit, so the marginal has rank
-    at most two. Writing the state as a 4 x 2 matrix F (pair rows,
-    complement columns), the two Wootters eigenvalues are the singular
-    values of the 2 x 2 matrix F^dagger (Y x Y) F^*, which keeps the
-    concurrence accurate even when the smaller eigenvalue vanishes.
-    """
+    """Wootters concurrence of a two-qubit marginal (see invariants)."""
     if pair not in PAIRS:
         raise ValidationError(f"pair must be one of {PAIRS}, got {pair!r}")
-    f = np.transpose(s.tensor, _PAIR_AXES[pair]).reshape(4, 2)
-    m = f.conj().T @ _YY @ f.conj()
-    sv = np.linalg.svd(m, compute_uv=False)
-    return float(max(sv[0] - sv[1], 0.0))
-
-
-def _hdet(a: np.ndarray):
-    """Cayley hyperdeterminant of (..., 8) amplitude arrays."""
-    t000, t001, t010, t011, t100, t101, t110, t111 = (a[..., i] for i in range(8))
-    s1 = (
-        t000 ** 2 * t111 ** 2
-        + t001 ** 2 * t110 ** 2
-        + t010 ** 2 * t101 ** 2
-        + t100 ** 2 * t011 ** 2
-    )
-    s2 = (
-        t000 * t001 * t110 * t111
-        + t000 * t010 * t101 * t111
-        + t000 * t100 * t011 * t111
-        + t001 * t010 * t101 * t110
-        + t001 * t100 * t110 * t011
-        + t010 * t100 * t101 * t011
-    )
-    s3 = t000 * t011 * t101 * t110 + t001 * t010 * t100 * t111
-    return s1 - 2.0 * s2 + 4.0 * s3
+    return float(s.invariants[1][PAIRS.index(pair)])
 
 
 def hyperdeterminant(s: PureState3) -> complex:
     """Degree-4 polynomial invariant of the 2x2x2 amplitude tensor."""
-    return complex(_hdet(s.amp))
+    return s.invariants[2]
 
 
 def tangle(s: PureState3, check: bool = True) -> float:
@@ -148,14 +118,10 @@ def tangle(s: PureState3, check: bool = True) -> float:
     monogamy route C_A(BC)^2 - C_AB^2 - C_AC^2; a disagreement beyond 1e-9
     raises, since both routes are exact for pure states.
     """
-    tau = 4.0 * abs(complex(_hdet(s.amp)))
+    r, c, hdet = s.invariants
+    tau = 4.0 * abs(hdet)
     if check:
-        r = reduce_one(s, "A").r
-        alt = (
-            max(0.0, 1.0 - r * r)
-            - concurrence_pair(s, "AB") ** 2
-            - concurrence_pair(s, "AC") ** 2
-        )
+        alt = max(0.0, 1.0 - float(r[0]) ** 2) - float(c[0]) ** 2 - float(c[1]) ** 2
         if abs(tau - alt) > 1e-9:
             raise NumericalError(
                 f"tangle routes disagree: 4|Hdet| = {tau}, monogamy = {alt}"
@@ -163,34 +129,51 @@ def tangle(s: PureState3, check: bool = True) -> float:
     return tau
 
 
-# ---------------------------------------------------------------------------
-# Vectorized helpers over (n, 8) amplitude arrays, used by the Monte Carlo
-# verification passes. Semantics match the scalar functions above.
+# Flat amplitude indices of the two slices (T0, T1) along each qubit, each
+# slice a 2x2 matrix over the other two qubits in lexicographic order.
+_SLICES = np.array([
+    [[0, 1, 2, 3], [4, 5, 6, 7]],
+    [[0, 1, 4, 5], [2, 3, 6, 7]],
+    [[0, 2, 4, 6], [1, 3, 5, 7]],
+]).reshape(3, 2, 2, 2)
 
 
-def _tangle_batch(amps: np.ndarray) -> np.ndarray:
-    return 4.0 * np.abs(_hdet(amps))
+def _pencil(T0: np.ndarray, T1: np.ndarray):
+    """Coefficients of det(z T0 + w T1) = c z^2 + m z w + a w^2.
+
+    T0 and T1 are (..., 2, 2) slices; returns (c, m, a) = (det T0, mixed
+    term, det T1). The discriminant m^2 - 4 a c is the Cayley
+    hyperdeterminant, whichever qubit the slices were taken along.
+    """
+    c = T0[..., 0, 0] * T0[..., 1, 1] - T0[..., 0, 1] * T0[..., 1, 0]
+    a = T1[..., 0, 0] * T1[..., 1, 1] - T1[..., 0, 1] * T1[..., 1, 0]
+    m = (T0[..., 0, 0] * T1[..., 1, 1] + T1[..., 0, 0] * T0[..., 1, 1]
+         - T0[..., 0, 1] * T1[..., 1, 0] - T1[..., 0, 1] * T0[..., 1, 0])
+    return c, m, a
 
 
-def _bloch_norms_batch(amps: np.ndarray) -> np.ndarray:
-    """(n, 3) Bloch norms via r^2 = 2 Tr rho^2 - 1."""
-    t = amps.reshape(-1, 2, 2, 2)
-    out = np.empty((t.shape[0], 3))
-    for i, spec in enumerate(("najk,nbjk->nab", "njak,njbk->nab", "njka,njkb->nab")):
-        rho = np.einsum(spec, t, t.conj())
-        tr2 = np.einsum("nab,nba->n", rho, rho).real
-        out[:, i] = np.sqrt(np.clip(2.0 * tr2 - 1.0, 0.0, 1.0))
-    return out
+def invariants(amps: np.ndarray):
+    """Bloch norms, pair concurrences and hyperdeterminant of (n, 8) rows.
 
-
-def _concurrence_pairs_batch(amps: np.ndarray) -> np.ndarray:
-    """(n, 3) pairwise concurrences in PAIRS order."""
-    t = amps.reshape(-1, 2, 2, 2)
-    out = np.empty((t.shape[0], 3))
-    for i, pair in enumerate(PAIRS):
-        axes = _PAIR_AXES[pair]
-        f = np.transpose(t, (0, axes[0] + 1, axes[1] + 1, axes[2] + 1)).reshape(-1, 4, 2)
-        m = np.einsum("njc,jk,nkd->ncd", f.conj(), _YY, f.conj())
-        sv = np.linalg.svd(m, compute_uv=False)
-        out[:, i] = np.clip(sv[:, 0] - sv[:, 1], 0.0, None)
-    return out
+    Returns r (n, 3) in qubit order A, B, C, c (n, 3) in PAIRS order and
+    hdet (n,). With x0, x1 the slices along a qubit, its Bloch norm is
+    hypot(|x0|^2 - |x1|^2, 2 |<x1, x0>|). The pair concurrence is the
+    singular-value gap of N = [[2c, m], [m, 2a]], the pencil of the slices
+    along the complementary qubit (N is F^dagger (Y x Y) F^* up to sign and
+    conjugation, F the state as a pair-by-complement matrix), in the closed
+    form sqrt((A00 - A11)^2 + 4 |A01|^2) / sqrt(|N|_F^2 + 2 |det N|) with
+    A = N^dagger N, which keeps the gap accurate when it is small.
+    """
+    x = np.asarray(amps, dtype=complex).reshape(-1, 8)[:, _SLICES]
+    x0, x1 = x[:, :, 0], x[:, :, 1]
+    p = (x.real ** 2 + x.imag ** 2).sum(axis=(3, 4))
+    rho01 = (x0 * x1.conj()).sum(axis=(2, 3))
+    r = np.minimum(np.hypot(p[..., 0] - p[..., 1], 2.0 * np.abs(rho01)), 1.0)
+    c, m, a = _pencil(x0, x1)
+    hdet = m * m - 4.0 * a * c
+    c2, a2 = np.abs(c) ** 2, np.abs(a) ** 2
+    gap = 4.0 * np.hypot(c2 - a2, np.abs(c * m.conj() + m * a.conj()))
+    scale = np.sqrt(4.0 * (c2 + a2) + 2.0 * np.abs(m) ** 2 + 2.0 * np.abs(hdet))
+    # slices along C, B, A give the pairs AB, AC, BC; a product pair has N = 0
+    conc = np.divide(gap, scale, out=np.zeros_like(gap), where=scale > 0.0)[:, ::-1]
+    return r, conc, hdet[:, 0]

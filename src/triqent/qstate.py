@@ -6,7 +6,9 @@ qubit A the leftmost (slowest) index: t_000, t_001, ..., t_111.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +40,8 @@ class PureState3:
     def __post_init__(self):
         amp = np.asarray(self.amp, dtype=complex).reshape(8).copy()
         n = float(np.linalg.norm(amp))
-        if abs(n - 1.0) > NORM_TOL:
+        # written so that a NaN norm (from NaN or inf amplitudes) fails too
+        if not abs(n - 1.0) <= NORM_TOL:
             raise BadNormalization(f"state norm {n} deviates from 1 beyond {NORM_TOL}")
         amp.flags.writeable = False
         object.__setattr__(self, "amp", amp)
@@ -47,6 +50,18 @@ class PureState3:
     def tensor(self) -> np.ndarray:
         """The amplitudes as a (2, 2, 2) array indexed (A, B, C)."""
         return self.amp.reshape(2, 2, 2)
+
+    @cached_property
+    def invariants(self) -> tuple[np.ndarray, np.ndarray, complex]:
+        """Bloch norms (A, B, C), pair concurrences (AB, AC, BC) and the
+        hyperdeterminant: the one row of entanglement.invariants for this
+        state, computed on first use."""
+        from .entanglement import invariants
+
+        r, c, hdet = invariants(self.amp[None, :])
+        r, c = r[0], c[0]
+        r.flags.writeable = c.flags.writeable = False
+        return r, c, complex(hdet[0])
 
     def to_json(self) -> str:
         """Serialize as a JSON array of 8 [re, im] pairs."""
@@ -106,9 +121,15 @@ def normalize(raw) -> PureState3:
     Divides by the 2-norm and fixes the global phase so the first nonzero
     amplitude (lexicographic order) is real and non-negative.
     """
-    arr = np.asarray(raw, dtype=complex).reshape(8)
+    arr = np.array(raw, dtype=complex).reshape(8)
+    big = float(np.abs(arr.view(float)).max())
+    if not math.isfinite(big):
+        raise ValidationError("amplitudes must be finite")
     if np.all(np.abs(arr) < _ZERO_AMP):
         raise ZeroVector("all amplitudes are below 1e-15 in magnitude")
+    # scaling by a power of two is exact, so the norm cannot overflow and
+    # ordinary inputs normalize to the same bits as without it
+    arr = arr * 2.0 ** -math.frexp(big)[1]
     arr = arr / np.linalg.norm(arr)
     return PureState3(_phase_fix(arr))
 
@@ -153,13 +174,6 @@ def _haar_amps(n: int, rng: np.random.Generator) -> np.ndarray:
     """n Haar-random amplitude rows, shape (n, 8); no phase convention applied."""
     v = rng.normal(size=(n, 8)) + 1j * rng.normal(size=(n, 8))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _haar_u2(rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def _haar_u2_batch(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -231,7 +245,7 @@ def sample_type(t: str, seed: int) -> PureState3:
         phi = float(rng.uniform(0.0, np.pi)) if lam[1] > 0 else 0.0
         out = reconstruct(CanonicalForm(lambdas=tuple(lam), phi=phi, branch="plus"))
         for q in QUBITS:
-            out = apply_local_unitary(out, LocalUnitary(_haar_u2(rng), q))
+            out = apply_local_unitary(out, LocalUnitary(_haar_u2_batch(1, rng)[0], q))
         got = classify(out)
         if got.kind == t or got.kind.startswith(t + "-"):
             return out

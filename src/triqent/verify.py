@@ -11,7 +11,6 @@ the same properties at much larger counts.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +58,7 @@ def check_names() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def run_checks(names: Iterable[str] | None = None, seed: int = 0,
-               threads: int = 1) -> list[CheckResult]:
+def run_checks(names: Iterable[str] | None = None, seed: int = 0) -> list[CheckResult]:
     """Run the requested checks (all by default) and collect the results.
 
     Failures are captured as CheckResult entries rather than raised, so the
@@ -83,9 +81,6 @@ def run_checks(names: Iterable[str] | None = None, seed: int = 0,
         except TriqentError as exc:
             return CheckResult(name, False, f"{type(exc).__name__}: {exc}", seed)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_one, picked))
     return [run_one(n) for n in picked]
 
 
@@ -113,14 +108,8 @@ def _haar_state(rng: np.random.Generator) -> qstate.PureState3:
 
 def _seven_invariants(s: qstate.PureState3) -> np.ndarray:
     """(r_A, r_B, r_C, tau, C_AB, C_AC, C_BC) as one vector."""
-    bt = entanglement.bloch_triple(s)
-    return np.array([
-        bt.r_a, bt.r_b, bt.r_c,
-        entanglement.tangle(s, check=False),
-        entanglement.concurrence_pair(s, "AB"),
-        entanglement.concurrence_pair(s, "AC"),
-        entanglement.concurrence_pair(s, "BC"),
-    ])
+    r, c, hdet = s.invariants
+    return np.concatenate([r, [4.0 * abs(hdet)], c])
 
 
 def _expect(exc_type, fn, *args, **kwargs):
@@ -162,7 +151,8 @@ def _check_lu_invariance(seed: int) -> str:
         before = _seven_invariants(s)
         t = s
         for q in qstate.QUBITS:
-            t = qstate.apply_local_unitary(t, qstate.LocalUnitary(qstate._haar_u2(rng), q))
+            u = qstate._haar_u2_batch(1, rng)[0]
+            t = qstate.apply_local_unitary(t, qstate.LocalUnitary(u, q))
         worst = max(worst, float(np.max(np.abs(_seven_invariants(t) - before))))
     assert worst <= 1e-10, f"local unitaries moved an invariant by {worst:.3e}"
     _expect(ValidationError, qstate.LocalUnitary, np.eye(2), "D")
@@ -187,7 +177,7 @@ def _check_slice_roundtrip(seed: int) -> str:
 def _check_haar_symmetry(seed: int) -> str:
     rng = np.random.default_rng([seed, 4])
     n = 4000
-    r = entanglement._bloch_norms_batch(qstate._haar_amps(n, rng))
+    r = entanglement.invariants(qstate._haar_amps(n, rng))[0]
     worst = 0.0
     for i, j in ((0, 1), (0, 2), (1, 2)):
         d = r[:, i] - r[:, j]
@@ -260,10 +250,8 @@ def _check_entropy_anchors(seed: int) -> str:
 def _check_monogamy_pivots(seed: int) -> str:
     rng = np.random.default_rng([seed, 7])
     n = 3000
-    amps = qstate._haar_amps(n, rng)
-    r = entanglement._bloch_norms_batch(amps)
-    c = entanglement._concurrence_pairs_batch(amps)
-    tau = entanglement._tangle_batch(amps)
+    r, c, hdet = entanglement.invariants(qstate._haar_amps(n, rng))
+    tau = 4.0 * np.abs(hdet)
     cap2 = 1.0 - r ** 2
     ab2, ac2, bc2 = c[:, 0] ** 2, c[:, 1] ** 2, c[:, 2] ** 2
     slack = float((ab2 + ac2 - cap2[:, 0]).max())
@@ -434,7 +422,7 @@ def _check_strata_membership(seed: int) -> str:
     n = 120
     for kind in ("1", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5"):
         amps = qstate._sample_type_batch(kind, n, int(rng.integers(1 << 32)))
-        r = entanglement._bloch_norms_batch(amps)
+        r = entanglement.invariants(amps)[0]
         for row in r:
             bt = entanglement.BlochTriple(*map(float, row))
             assert _strata_ok(kind, bt), \
@@ -446,7 +434,7 @@ def _check_strata_membership(seed: int) -> str:
 def _check_bipyramid_membership(seed: int) -> str:
     rng = np.random.default_rng([seed, 13])
     n = 3000
-    r = entanglement._bloch_norms_batch(qstate._haar_amps(n, rng))
+    r = entanglement.invariants(qstate._haar_amps(n, rng))[0]
     reg = polytope.Region("bipyramid", tol=1e-9)
     for row in r:
         assert polytope.membership(entanglement.BlochTriple(*map(float, row)), reg), \
@@ -557,14 +545,14 @@ def _check_ansatz_identities(seed: int) -> str:
     }
     for kind, rhs in plans.items():
         amps = qstate._sample_type_batch(kind, n, int(rng.integers(1 << 32)))
-        r = entanglement._bloch_norms_batch(amps)
-        tau = entanglement._tangle_batch(amps)
+        r, _, hdet = entanglement.invariants(amps)
+        tau = 4.0 * np.abs(hdet)
         dev = float(np.abs(1.0 - tau - rhs(r)).max())
         worst = max(worst, dev)
         assert dev <= 1e-10, f"{kind} norm identity off by {dev:.3e}"
     amps = qstate._sample_type_batch("2b", n, int(rng.integers(1 << 32)))
-    r = entanglement._bloch_norms_batch(amps)
-    tau = entanglement._tangle_batch(amps)
+    r, _, hdet = entanglement.invariants(amps)
+    tau = 4.0 * np.abs(hdet)
     r2 = (r ** 2).sum(axis=1)
     dev = float(np.abs(tau - (1.0 - r2 / 3.0)).max())
     assert dev <= 1e-10, f"diagonal states leave the top curve by {dev:.3e}"
@@ -580,8 +568,8 @@ def _check_ansatz_approximation(seed: int) -> str:
     near3b = 0.0
     for kind in ("3b-12", "3b-23", "3b-13"):
         amps = qstate._sample_type_batch(kind, n, int(rng.integers(1 << 32)))
-        r = entanglement._bloch_norms_batch(amps)
-        tau = entanglement._tangle_batch(amps)
+        r, _, hdet = entanglement.invariants(amps)
+        tau = 4.0 * np.abs(hdet)
         for i in range(n):
             bt = entanglement.BlochTriple(*map(float, r[i]))
             if polytope.dist_to_diagonal(bt) >= 0.1:
@@ -592,8 +580,8 @@ def _check_ansatz_approximation(seed: int) -> str:
     near4b = 0.0
     for kind in ("4b-l2", "4b-l3"):
         amps = qstate._sample_type_batch(kind, n, int(rng.integers(1 << 32)))
-        r = entanglement._bloch_norms_batch(amps)
-        tau = entanglement._tangle_batch(amps)
+        r, _, hdet = entanglement.invariants(amps)
+        tau = 4.0 * np.abs(hdet)
         sup, swp = [], []
         for i in range(n):
             bt = entanglement.BlochTriple(*map(float, r[i]))
@@ -785,9 +773,7 @@ def _check_sweep_determinism(seed: int) -> str:
     grid = [0.0, 0.5, 1.0, 1.7]
     first = chains.sweep("tfim", grid, params_policy="mc", seed=sub)
     again = chains.sweep("tfim", grid, params_policy="mc", seed=sub)
-    threaded = chains.sweep("tfim", grid, params_policy="mc", seed=sub, threads=2)
     assert first == again, "same-seed sweeps differ"
-    assert first == threaded, "threaded sweep differs from serial"
     for rec in first:
         for f in chains.SWEEP_FIELDS:
             assert hasattr(rec, f)
@@ -802,7 +788,7 @@ def _check_sweep_determinism(seed: int) -> str:
     assert len(pert) == 16, "perturbed sweep should emit 8 rows per point"
     _expect(ValidationError, chains.sweep, "tfim", [0.5, 0.5])
     _expect(ValidationError, chains.sweep, "tfim", [0.5], params_policy="latin")
-    return f"{len(first)} rows reproducible across runs and threads"
+    return f"{len(first)} rows reproducible across runs"
 
 
 @register("perturbation-probe")

@@ -11,32 +11,25 @@ import hashlib
 import numpy as np
 
 from triqent import (
-    FACE_SIGNS,
     R_STAR,
     R_W,
-    BlochTriple,
     PureState3,
-    Region,
     SuperpositionParams,
     big_r,
     bloch_triple,
     bound_curve,
     canonical_decompose,
     chains,
-    membership,
     normalize,
     reconstruct,
     sample_type,
     tangle,
 )
 from triqent.canonical import _branch_form, det_zero_solutions
-from triqent.entanglement import (
-    _bloch_norms_batch,
-    _concurrence_pairs_batch,
-    _tangle_batch,
-)
+from triqent.entanglement import invariants
 from triqent.qstate import _haar_amps, _sample_type_batch, slice_state
 from triqent.cli import main
+from triqent.verify import _strata_ok
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -73,9 +66,9 @@ def test_criterion_1_canonical_anchors():
 def test_criterion_2_monogamy_and_pivot_tangles():
     n = 100_000
     amps = _haar_amps(n, np.random.default_rng(20_001))
-    r = _bloch_norms_batch(amps)
-    c2 = _concurrence_pairs_batch(amps) ** 2  # columns AB, AC, BC
-    tau = _tangle_batch(amps)
+    r, c, hdet = invariants(amps)
+    c2 = c ** 2  # columns AB, AC, BC
+    tau = 4.0 * np.abs(hdet)
     pair_sum = np.stack([c2[:, 0] + c2[:, 1],   # pivot A: AB + AC
                          c2[:, 0] + c2[:, 2],   # pivot B: AB + BC
                          c2[:, 1] + c2[:, 2]])  # pivot C: AC + BC
@@ -102,40 +95,14 @@ def test_criterion_3_decomposition_round_trip():
                        * _branch_form(s.tensor, pr)[0][4]) ** 2
                 for pr in pairs]
         branch_gap = max(branch_gap, abs(taus[0] - taus[1]))
+    (r, c, hdet), (r_back, c_back, hdet_back) = invariants(amps), invariants(back)
     drift = max(
-        float(np.max(np.abs(_bloch_norms_batch(amps)
-                            - _bloch_norms_batch(back)))),
-        float(np.max(np.abs(_tangle_batch(amps) - _tangle_batch(back)))),
-        float(np.max(np.abs(_concurrence_pairs_batch(amps)
-                            - _concurrence_pairs_batch(back)))),
+        float(np.max(np.abs(r - r_back))),
+        float(np.max(np.abs(4.0 * np.abs(hdet) - 4.0 * np.abs(hdet_back)))),
+        float(np.max(np.abs(c - c_back))),
     )
     ok = drift <= 1e-9 and branch_gap <= 1e-10
     _report(3, ok, f"invariant drift {drift:.3e}, branch gap {branch_gap:.3e}")
-
-
-def _stratum_ok(kind: str, row: np.ndarray) -> bool:
-    bt = BlochTriple(*map(float, row))
-    if kind == "1":
-        return bool(np.max(np.abs(row - 1.0)) <= 1e-9)
-    if kind == "2a":
-        hi = int(np.argmax(row))
-        rest = np.delete(row, hi)
-        return abs(row[hi] - 1.0) <= 1e-9 and abs(rest[0] - rest[1]) <= 1e-9
-    if kind == "2b":
-        return membership(bt, Region("diagonal"))
-    if kind == "3a":
-        on_face = any(membership(bt, Region("face", signs=sg))
-                      for sg in FACE_SIGNS)
-        return on_face and float(row.sum()) >= 1.0 - 1e-9
-    if kind == "4a":
-        return membership(bt, Region("upper-tetrahedron"))
-    if kind == "3b":
-        kinds = ("triangle-12", "triangle-23", "triangle-13")
-    elif kind == "4b":
-        kinds = ("wedge-l2", "wedge-l3")
-    else:
-        kinds = ("bipyramid",)
-    return any(membership(bt, Region(t)) for t in kinds)
 
 
 def test_criterion_4_sampled_strata():
@@ -145,9 +112,7 @@ def test_criterion_4_sampled_strata():
     for kind in ("1", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5"):
         seeds = base.integers(1 << 32, size=per_type)
         for seed in seeds:
-            s = sample_type(kind, int(seed))
-            row = bloch_triple(s).as_array()
-            if not _stratum_ok(kind, row):
+            if not _strata_ok(kind, bloch_triple(sample_type(kind, int(seed)))):
                 bad.append((kind, int(seed)))
                 break
     _report(4, not bad, f"stratum misses {bad}")
@@ -159,9 +124,9 @@ def test_criterion_5_bound_curves():
     msgs = []
     for kind in ("2b", "3b", "4b", "4c", "5"):
         amps = _sample_type_batch(kind, n, int(base.integers(1 << 32)))
-        r = _bloch_norms_batch(amps)
+        r, _, hdet = invariants(amps)
         big = np.sqrt(np.sum(r * r, axis=1))
-        tau = _tangle_batch(amps)
+        tau = 4.0 * np.abs(hdet)
         if kind == "2b":
             dev = float(np.max(np.abs(tau - (1.0 - big ** 2 / 3.0))))
             if dev > 1e-10:
@@ -192,17 +157,17 @@ def test_criterion_6_type_identities():
     base = np.random.default_rng(20_006)
     devs = {}
     amps = _sample_type_batch("3b", n, int(base.integers(1 << 32)))
-    r = _bloch_norms_batch(amps)
-    tau = _tangle_batch(amps)
+    r, _, hdet = invariants(amps)
+    tau = 4.0 * np.abs(hdet)
     devs["3b"] = float(np.max(np.abs(1.0 - tau - np.max(r, axis=1) ** 2)))
     amps = _sample_type_batch("4b-l2", n, int(base.integers(1 << 32)))
-    r = _bloch_norms_batch(amps) ** 2
-    tau = _tangle_batch(amps)
+    r, _, hdet = invariants(amps)
+    r, tau = r ** 2, 4.0 * np.abs(hdet)
     devs["4b-l2"] = float(np.max(np.abs(
         1.0 - tau - (r[:, 2] - r[:, 1] + r[:, 0]))))
     amps = _sample_type_batch("4b-l3", n, int(base.integers(1 << 32)))
-    r = _bloch_norms_batch(amps) ** 2
-    tau = _tangle_batch(amps)
+    r, _, hdet = invariants(amps)
+    r, tau = r ** 2, 4.0 * np.abs(hdet)
     devs["4b-l3"] = float(np.max(np.abs(
         1.0 - tau - (r[:, 1] - r[:, 2] + r[:, 0]))))
     worst = max(devs.values())
@@ -281,7 +246,7 @@ def test_criterion_8_crossings_and_robustness():
     probe = xi * chains.pauli_string("ZII")
     for name in ("xx", "xxx"):
         evals, vecs = chains.eigensystem(chains.build_hamiltonian(name, d) + probe)
-        taus = _tangle_batch(vecs.T.copy())
+        taus = 4.0 * np.abs(invariants(vecs.T)[2])
         if float(np.max(taus)) >= 1e-2:
             msgs.append(f"{name} probe tangle {np.max(taus):.3e}")
     plain_levels = {"tfim": (0, 1, 2, 5), "xzx": (0, 1, 4, 5)}

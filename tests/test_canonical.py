@@ -25,7 +25,7 @@ from triqent.qstate import (
     QUBITS,
     LocalUnitary,
     _draw_lambdas,
-    _haar_u2,
+    _haar_u2_batch,
     apply_local_unitary,
 )
 
@@ -120,7 +120,7 @@ def test_scrambled_tangle_free_states_keep_clean_coefficients():
         s = reconstruct(CanonicalForm(lambdas=tuple(lam), phi=0.0,
                                       branch="plus"))
         for q in QUBITS:
-            s = apply_local_unitary(s, LocalUnitary(_haar_u2(rng), q))
+            s = apply_local_unitary(s, LocalUnitary(_haar_u2_batch(1, rng)[0], q))
         cf = canonical_decompose(s)
         assert cf.degenerate
         assert max(cf.lambdas[1], cf.lambdas[4]) <= 1e-9

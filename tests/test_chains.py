@@ -417,9 +417,7 @@ def test_sweep_rows_are_reproducible_and_complete():
     grid = [0.0, 0.5, 1.0, 1.7]
     first = sweep("tfim", grid, params_policy="mc", seed=5)
     again = sweep("tfim", grid, params_policy="mc", seed=5)
-    threaded = sweep("tfim", grid, params_policy="mc", seed=5, threads=2)
     assert first == again
-    assert first == threaded
     for rec in first:
         for f in SWEEP_FIELDS:
             assert hasattr(rec, f)

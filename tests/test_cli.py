@@ -100,6 +100,25 @@ def test_bad_state_file_is_a_usage_error(tmp_path, capsys):
     assert "ValidationError" in err
 
 
+def test_non_finite_states_are_usage_errors_and_huge_ones_normalize(capsys):
+    for bad in ("nan", "inf", "-inf"):
+        vals = ["0"] * 16
+        vals[0], vals[14] = bad, "1"
+        for verb in ("analyze", "classify", "cd"):
+            code, out, err = run(capsys, verb, "--state", " ".join(vals))
+            assert code == 2 and out == "", (verb, bad)
+            assert err.startswith("error:ValidationError:")
+    huge = ["0"] * 16
+    huge[0] = huge[14] = "1e308"
+    code, out, _ = run(capsys, "analyze", "--state", *huge, "--format", "json")
+    assert code == 0
+    _, ref, _ = run(capsys, "analyze", "--state", "ghz", "--format", "json")
+    got, ref = json.loads(out), json.loads(ref)
+    for key in ref:
+        if key != "state":
+            assert got[key] == pytest.approx(ref[key], abs=1e-15), key
+
+
 def test_argparse_errors_return_their_own_code(capsys):
     assert main(["no-such-verb"]) == 2
     capsys.readouterr()

@@ -8,6 +8,7 @@ from conftest import ghz, haar_state, ket, w_state
 from triqent import (
     PAIRS,
     OutOfRange,
+    PureState3,
     ValidationError,
     bloch_triple,
     concurrence_one_vs_rest,
@@ -17,13 +18,8 @@ from triqent import (
     reduce_one,
     tangle,
 )
-from triqent.entanglement import (
-    _bloch_norms_batch,
-    _concurrence_pairs_batch,
-    _pair_rho,
-    _tangle_batch,
-    _YY,
-)
+from triqent.entanglement import _pair_rho, _YY, invariants
+from triqent.qstate import _sample_type_batch
 
 
 def test_reduced_density_is_a_valid_qubit_state():
@@ -102,6 +98,27 @@ def test_pair_concurrence_agrees_with_eigenvalue_route():
     assert worst <= 1e-7
 
 
+def test_kernel_matches_the_density_matrix_and_svd_routes():
+    """Kernel Bloch norms against reduce_one and kernel concurrences against
+    the singular values of F^dagger (Y x Y) F^*, F the state as a 4 x 2
+    pair-by-complement matrix, on every coarse type; the 3a and 4c strata
+    hold Bloch norms where a purity route cancels."""
+    pair_axes = ((0, 1, 2), (0, 2, 1), (1, 2, 0))  # PAIRS, complement last
+    for i, kind in enumerate(("1", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5")):
+        amps = _sample_type_batch(kind, 2000, 1000 + i)
+        r, c, _ = invariants(amps)
+        ref = np.array([[np.linalg.norm(reduce_one(PureState3(a), q).bloch)
+                         for q in "ABC"] for a in amps])
+        assert float(np.abs(r - ref).max()) <= 1e-14, kind
+        t = amps.reshape(-1, 2, 2, 2)
+        for j, axes in enumerate(pair_axes):
+            f = np.transpose(t, (0, *(ax + 1 for ax in axes))).reshape(-1, 4, 2)
+            sv = np.linalg.svd(np.conj(f).transpose(0, 2, 1) @ _YY @ np.conj(f),
+                               compute_uv=False)
+            gap = np.clip(sv[:, 0] - sv[:, 1], 0.0, None)
+            assert float(np.abs(c[:, j] - gap).max()) <= 1e-14, (kind, PAIRS[j])
+
+
 def test_concurrence_anchors():
     for pair in PAIRS:
         assert abs(concurrence_pair(w_state(), pair) - 2.0 / 3.0) <= 1e-12
@@ -128,9 +145,8 @@ def test_monogamy_and_pivot_independence():
     amps = np.empty((n, 8), dtype=complex)
     for i in range(n):
         amps[i] = haar_state(rng).amp
-    r = _bloch_norms_batch(amps)
-    c = _concurrence_pairs_batch(amps)
-    tau = _tangle_batch(amps)
+    r, c, hdet = invariants(amps)
+    tau = 4.0 * np.abs(hdet)
     cap = 1.0 - r ** 2
     ab2, ac2, bc2 = c[:, 0] ** 2, c[:, 1] ** 2, c[:, 2] ** 2
     assert float((ab2 + ac2 - cap[:, 0]).max()) <= 1e-9

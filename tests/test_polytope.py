@@ -31,7 +31,7 @@ from triqent import (
     reconstruct,
     tau_surface,
 )
-from triqent.entanglement import _bloch_norms_batch, _tangle_batch
+from triqent.entanglement import invariants
 from triqent.qstate import _draw_lambdas, _sample_type_batch
 
 SQRT3 = np.sqrt(3.0)
@@ -127,7 +127,7 @@ def _stratum_regions(kind):
 def test_sampled_types_land_in_their_strata():
     rng = np.random.default_rng(229)
     for kind in ("1", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5"):
-        r = _bloch_norms_batch(_sample_type_batch(kind, 200, int(rng.integers(1 << 32))))
+        r = invariants(_sample_type_batch(kind, 200, int(rng.integers(1 << 32))))[0]
         for row in r:
             bt = BlochTriple(*map(float, row))
             if kind == "1":
@@ -186,8 +186,8 @@ def test_two_branch_band_is_ordered():
 def test_diagonal_states_sit_on_the_top_curve():
     rng = np.random.default_rng(233)
     amps = _sample_type_batch("2b", 2000, int(rng.integers(1 << 32)))
-    r = _bloch_norms_batch(amps)
-    tau = _tangle_batch(amps)
+    r, _, hdet = invariants(amps)
+    tau = 4.0 * np.abs(hdet)
     r2 = (r ** 2).sum(axis=1)
     assert float(np.abs(tau - (1.0 - r2 / 3.0)).max()) <= 1e-10
 
@@ -203,8 +203,8 @@ def test_norm_identities_for_single_zero_patterns():
     }
     for kind, rhs in plans.items():
         amps = _sample_type_batch(kind, 2000, int(rng.integers(1 << 32)))
-        r = _bloch_norms_batch(amps)
-        tau = _tangle_batch(amps)
+        r, _, hdet = invariants(amps)
+        tau = 4.0 * np.abs(hdet)
         assert float(np.abs(1.0 - tau - rhs(r)).max()) <= 1e-10, kind
 
 
@@ -248,7 +248,7 @@ def test_tau_surface_covers_reconstructed_states():
         lam = _draw_lambdas((0, 2, 3, 4), rng)
         s = reconstruct(CanonicalForm(lambdas=tuple(lam), phi=0.0, branch="plus"))
         rr = big_r(bloch_triple(s))
-        tau = _tangle_batch(s.amp[None, :])[0]
+        tau = 4.0 * abs(invariants(s.amp)[2][0])
         best = min(abs(tau_surface(rr, float(lam[2]), float(lam[3]), b) - tau)
                    for b in ("plus", "minus"))
         assert best <= 1e-9
@@ -279,8 +279,8 @@ def test_triangle_ansatz_residual_has_a_closed_form():
     # for the r_a = r_b triangle the ansatz misses by exactly (2/3)(r_c - r_a)^2
     rng = np.random.default_rng(251)
     amps = _sample_type_batch("3b-12", 400, int(rng.integers(1 << 32)))
-    r = _bloch_norms_batch(amps)
-    tau = _tangle_batch(amps)
+    r, _, hdet = invariants(amps)
+    tau = 4.0 * np.abs(hdet)
     for i in range(len(r)):
         bt = BlochTriple(*map(float, r[i]))
         guess = ansatz_tau(bt, f_lowest_order("3b-12", bt))
@@ -292,8 +292,8 @@ def test_wedge_ansatz_prefers_the_suppressed_norm_pairing():
     rng = np.random.default_rng(257)
     for kind in ("4b-l2", "4b-l3"):
         amps = _sample_type_batch(kind, 800, int(rng.integers(1 << 32)))
-        r = _bloch_norms_batch(amps)
-        tau = _tangle_batch(amps)
+        r, _, hdet = invariants(amps)
+        tau = 4.0 * np.abs(hdet)
         err_default, err_other = [], []
         for i in range(len(r)):
             bt = BlochTriple(*map(float, r[i]))
@@ -310,8 +310,8 @@ def test_ansatz_error_shrinks_near_the_diagonal():
                               ("3b-13", 0.1, 0.02), ("4b-l2", 0.05, 0.1),
                               ("4b-l3", 0.05, 0.1)):
         amps = _sample_type_batch(kind, 1200, int(rng.integers(1 << 32)))
-        r = _bloch_norms_batch(amps)
-        tau = _tangle_batch(amps)
+        r, _, hdet = invariants(amps)
+        tau = 4.0 * np.abs(hdet)
         for i in range(len(r)):
             bt = BlochTriple(*map(float, r[i]))
             if dist_to_diagonal(bt) >= cutoff:

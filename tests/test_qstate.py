@@ -23,7 +23,7 @@ from triqent import (
     slice_state,
     tangle,
 )
-from triqent.qstate import _haar_u2
+from triqent.qstate import _haar_u2_batch
 
 
 def test_normalize_fixes_scale_and_global_phase():
@@ -43,6 +43,19 @@ def test_normalize_fixes_scale_and_global_phase():
 def test_normalize_rejects_zero_vector():
     with pytest.raises(ZeroVector):
         normalize(np.zeros(8, dtype=complex))
+
+
+def test_non_finite_amplitudes_are_rejected_and_extreme_scales_are_not():
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        raw = np.ones(8, dtype=complex)
+        raw[3] = bad
+        with pytest.raises(ValidationError):
+            normalize(raw)
+        with pytest.raises(ValidationError):
+            PureState3(raw)
+    raw = np.array([1.0, 1j]) @ np.random.default_rng(13).normal(size=(2, 8))
+    for scale in (1e-14, 1e307):
+        assert np.max(np.abs(normalize(scale * raw).amp - normalize(raw).amp)) <= 1e-15
 
 
 def test_amplitudes_are_frozen():
@@ -80,7 +93,7 @@ def test_local_unitaries_preserve_entanglement_invariants():
                   [concurrence_pair(s, p) for p in ("AB", "AC", "BC")])
         t = s
         for q in QUBITS:
-            t = apply_local_unitary(t, LocalUnitary(_haar_u2(rng), q))
+            t = apply_local_unitary(t, LocalUnitary(_haar_u2_batch(1, rng)[0], q))
         after = (bloch_triple(t).as_array(), tangle(t),
                  [concurrence_pair(t, p) for p in ("AB", "AC", "BC")])
         assert np.max(np.abs(before[0] - after[0])) <= 1e-10

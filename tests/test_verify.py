@@ -29,13 +29,6 @@ def test_subset_runs_only_what_was_asked():
     assert all(r.seed == 2 for r in results)
 
 
-def test_threaded_run_matches_serial():
-    names = list(check_names())[:8]
-    serial = run_checks(names=names, seed=1)
-    threaded = run_checks(names=names, seed=1, threads=2)
-    assert serial == threaded
-
-
 def test_duplicate_registration_is_refused():
     before = check_names()
     with pytest.raises(ValueError, match="duplicate"):
