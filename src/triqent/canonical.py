@@ -247,10 +247,12 @@ def classify(s: PureState3, tol: float = 1e-9, cd_tol: float | None = None) -> E
     ZERO_TOL) decides which canonical coefficients count as zero. On
     borderline states the zero reading wins, i.e. the more specific type.
     """
-    if tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
     if cd_tol is None:
         cd_tol = ZERO_TOL
+    # written so that NaN fails too
+    for name, x in (("tol", tol), ("cd_tol", cd_tol)):
+        if not 0.0 < x < np.inf:
+            raise ValidationError(f"{name} must be positive and finite, got {x}")
     bt = bloch_triple(s)
     rs = (bt.r_a, bt.r_b, bt.r_c)
     near_one = sum(1 for r in rs if r > 1.0 - tol)

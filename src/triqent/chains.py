@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import BlochTriple, bloch_triple, tangle
+from .entanglement import BlochTriple, check_monogamy, invariants
 from .errors import (
     ConvergenceFailure,
     CrossingPoint,
@@ -85,6 +85,8 @@ class ChainModel:
     def __post_init__(self):
         if self.name not in MODELS:
             raise UnknownModel(f"model must be one of {MODELS}, got {self.name!r}")
+        if not np.isfinite(self.delta):
+            raise OutOfDomain(f"{self.name} needs a finite delta, got {self.delta}")
         if self.name != "xxx" and self.delta < 0.0:
             raise OutOfDomain(f"{self.name} needs delta >= 0, got {self.delta}")
 
@@ -477,34 +479,38 @@ class SymmetryLabels:
 
 _MZ_DIAG = np.array([3, 1, 1, -1, 1, -1, -1, -3], dtype=float)
 _ZFLIP_DIAG = np.array([1, -1, -1, 1, -1, 1, 1, -1], dtype=float)
+_K_PHASES = tuple(np.exp(2j * np.pi * kk / 3.0) for kk in (0, 1, 2))
 
 
-def _sign_label(image: np.ndarray, amp: np.ndarray, tol: float) -> int | None:
-    if np.linalg.norm(image - amp) <= tol:
-        return 1
-    if np.linalg.norm(image + amp) <= tol:
-        return -1
-    return None
+def _eigen_label(image: np.ndarray, amps: np.ndarray, tol: float,
+                 values=(1, -1), labels=None) -> list:
+    """Per row, the label of the first eigenvalue v in values (by default
+    v itself) with |image - v amp| <= tol, or None; image and amps are
+    (n, 8)."""
+    out = np.full(len(amps), None, dtype=object)
+    # the first matching eigenvalue wins, so assign in reverse order
+    for v, lab in reversed(tuple(zip(values, labels or values))):
+        out[np.linalg.norm(image - v * amps, axis=1) <= tol] = lab
+    return out.tolist()
+
+
+def symmetry_label_rows(amps: np.ndarray, tol: float = 1e-9) -> list[SymmetryLabels]:
+    """SymmetryLabels of each row of an (n, 8) amplitude array."""
+    amps = np.asarray(amps, dtype=complex).reshape(-1, 8)
+    t = amps.reshape(-1, 2, 2, 2)
+    shifted = np.transpose(t, (0, 3, 1, 2)).reshape(-1, 8)
+    mirrored = np.transpose(t, (0, 3, 2, 1)).reshape(-1, 8)
+    k = _eigen_label(shifted, amps, tol, _K_PHASES, (0, 1, 2))
+    p = _eigen_label(amps[:, ::-1], amps, tol)
+    m_z = _eigen_label(_MZ_DIAG * amps, amps, tol, (3, 1, -1, -3))
+    refl = _eigen_label(mirrored, amps, tol)
+    zflip = _eigen_label(_ZFLIP_DIAG * amps, amps, tol)
+    return [SymmetryLabels(*row) for row in zip(k, p, m_z, refl, zflip)]
 
 
 def symmetry_labels(s: PureState3, tol: float = 1e-9) -> SymmetryLabels:
-    amp = s.amp
-    t = s.tensor
-    shifted = np.transpose(t, (2, 0, 1)).reshape(8)
-    k = None
-    for kk in (0, 1, 2):
-        if np.linalg.norm(shifted - np.exp(2j * np.pi * kk / 3.0) * amp) <= tol:
-            k = kk
-            break
-    p = _sign_label(amp[::-1], amp, tol)
-    refl = _sign_label(np.transpose(t, (2, 1, 0)).reshape(8), amp, tol)
-    zflip = _sign_label(_ZFLIP_DIAG * amp, amp, tol)
-    m_z = None
-    for m in (3, 1, -1, -3):
-        if np.linalg.norm(_MZ_DIAG * amp - m * amp) <= tol:
-            m_z = m
-            break
-    return SymmetryLabels(k=k, p=p, m_z=m_z, refl=refl, zflip=zflip)
+    """The symmetry labels of one state: one row of symmetry_label_rows."""
+    return symmetry_label_rows(s.amp[None, :], tol)[0]
 
 
 def degenerate_bloch_family(model, n: int, params: SuperpositionParams) -> BlochTriple:
@@ -609,55 +615,44 @@ def _sweep_point(name: str, d: float, policy: str, perturb: float,
     spectrum = closed_form_spectrum(name, d)
     sorted_e = sorted(e for e, _ in spectrum)
     crossing = any(b - a <= GAP_TOL for a, b in zip(sorted_e, sorted_e[1:]))
+    # (n, energy_numeric, energy_closed, multiplicity, tau_closed, state)
+    rows = []
     if perturb != 0.0:
-        h = h + perturb * pauli_string("ZII")
-        evals, vecs = eigensystem(h)
-        records = []
+        evals, vecs = eigensystem(h + perturb * pauli_string("ZII"))
         for j in range(8):
             group = int(np.sum(np.abs(evals - evals[j]) <= GAP_TOL))
-            state = PureState3(vecs[:, j])
-            lab = symmetry_labels(state)
-            bt = bloch_triple(state)
-            records.append(SweepRecord(
-                delta=d, n=j, energy_numeric=float(evals[j]), energy_closed=None,
-                multiplicity=group, k=lab.k, p=lab.p, m_z=lab.m_z,
-                tau_numeric=tangle(state), tau_closed=None,
-                r_a=bt.r_a, r_b=bt.r_b, r_c=bt.r_c, crossing_flag=crossing,
-            ))
-        return records
-    evals, _ = eigensystem(h)
-    rng = np.random.default_rng([seed, index])
-    taken = np.zeros(8, dtype=bool)
-    records = []
-    for n, (e_closed, mult) in enumerate(spectrum):
-        free = np.flatnonzero(~taken)
-        order = free[np.argsort(np.abs(evals[free] - e_closed), kind="stable")]
-        chosen = order[:mult]
-        taken[chosen] = True
-        worst = float(np.max(np.abs(evals[chosen] - e_closed)))
-        if worst > GAP_TOL:
-            raise NumericalError(
-                f"{name} level {n} at delta = {d}: closed energy {e_closed} "
-                f"misses the numeric spectrum by {worst:.3e}"
-            )
-        e_num = float(np.mean(evals[chosen]))
-        family = _DEG_FAMILY.get((name, n))
-        if family is None:
-            members = [None]
-        else:
-            members = list(_family_members(len(family[0]), policy, rng))
-        for params in members:
-            state = closed_form_eigenstate(name, n, d, params)
-            tau_cl = closed_form_tangle(name, n, d, params)
-            lab = symmetry_labels(state)
-            bt = bloch_triple(state)
-            records.append(SweepRecord(
-                delta=d, n=n, energy_numeric=e_num, energy_closed=e_closed,
-                multiplicity=mult, k=lab.k, p=lab.p, m_z=lab.m_z,
-                tau_numeric=tangle(state), tau_closed=tau_cl,
-                r_a=bt.r_a, r_b=bt.r_b, r_c=bt.r_c, crossing_flag=crossing,
-            ))
-    return records
+            rows.append((j, float(evals[j]), None, group, None, PureState3(vecs[:, j])))
+    else:
+        evals, _ = eigensystem(h)
+        rng = np.random.default_rng([seed, index])
+        taken = np.zeros(8, dtype=bool)
+        for n, (e_closed, mult) in enumerate(spectrum):
+            free = np.flatnonzero(~taken)
+            order = free[np.argsort(np.abs(evals[free] - e_closed), kind="stable")]
+            chosen = order[:mult]
+            taken[chosen] = True
+            worst = float(np.max(np.abs(evals[chosen] - e_closed)))
+            if worst > GAP_TOL:
+                raise NumericalError(
+                    f"{name} level {n} at delta = {d}: closed energy {e_closed} "
+                    f"misses the numeric spectrum by {worst:.3e}"
+                )
+            e_num = float(np.mean(evals[chosen]))
+            family = _DEG_FAMILY.get((name, n))
+            members = [None] if family is None else list(
+                _family_members(len(family[0]), policy, rng))
+            rows += [(n, e_num, e_closed, mult, closed_form_tangle(name, n, d, params),
+                      closed_form_eigenstate(name, n, d, params)) for params in members]
+    amps = np.array([row[-1].amp for row in rows])
+    r, c, hdet = invariants(amps)
+    tau = 4.0 * np.abs(hdet)
+    check_monogamy(r, c, tau)
+    return [SweepRecord(delta=d, n=n, energy_numeric=e_num, energy_closed=e_closed,
+                        multiplicity=mult, k=lab.k, p=lab.p, m_z=lab.m_z,
+                        tau_numeric=float(t), tau_closed=tau_cl, r_a=float(ra),
+                        r_b=float(rb), r_c=float(rc), crossing_flag=crossing)
+            for (n, e_num, e_closed, mult, tau_cl, _), lab, t, (ra, rb, rc)
+            in zip(rows, symmetry_label_rows(amps), tau, r)]
 
 
 def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
@@ -677,6 +672,8 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
         raise UnknownModel(f"model must be one of {MODELS}, got {name!r}")
     if params_policy not in ("grid", "mc"):
         raise ValidationError(f"params_policy must be grid or mc, got {params_policy!r}")
+    if not np.isfinite(perturb):
+        raise ValidationError(f"perturb must be finite, got {perturb}")
     grid = [float(d) for d in delta_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError("delta grid must be strictly increasing")

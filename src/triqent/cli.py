@@ -138,13 +138,22 @@ def _parse_state(tokens: list[str]) -> tuple[qstate.PureState3, str]:
 
 
 def _resolve_seed(arg_seed: int | None) -> int:
-    if arg_seed is not None:
-        return arg_seed
-    raw = os.environ.get("TRIQENT_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"TRIQENT_SEED must be an integer, got {raw!r}")
+    if arg_seed is None:
+        raw = os.environ.get("TRIQENT_SEED", "0")
+        try:
+            arg_seed = int(raw)
+        except ValueError:
+            raise ValidationError(f"TRIQENT_SEED must be an integer, got {raw!r}")
+    if arg_seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {arg_seed}")
+    return arg_seed
+
+
+def _require_finite(**values: float) -> None:
+    """Reject NaN and infinite option values, named as on the command line."""
+    for name, x in values.items():
+        if not np.isfinite(x):
+            raise ValidationError(f"--{name.replace('_', '-')} must be finite, got {x}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +194,7 @@ def _cmd_cd(args) -> tuple[str, int]:
 def _cmd_bounds(args) -> tuple[str, int]:
     if args.points < 1:
         raise ValidationError(f"points must be >= 1, got {args.points}")
+    _require_finite(r_min=args.r_min, r_max=args.r_max)
     if not 0.0 <= args.r_min <= args.r_max:
         raise ValidationError(
             f"need 0 <= r-min <= r-max, got {args.r_min}, {args.r_max}")
@@ -218,6 +228,7 @@ def _cmd_sample(args) -> tuple[str, int]:
 def _cmd_sweep(args) -> tuple[str, int]:
     if args.points < 1:
         raise ValidationError(f"points must be >= 1, got {args.points}")
+    _require_finite(delta_min=args.delta_min, delta_max=args.delta_max)
     grid = [float(d) for d in np.linspace(args.delta_min, args.delta_max, args.points)]
     records = chains.sweep(args.model, grid, params_policy=args.params_policy,
                            perturb=args.perturb, seed=args.seed)

@@ -114,19 +114,24 @@ def hyperdeterminant(s: PureState3) -> complex:
 def tangle(s: PureState3, check: bool = True) -> float:
     """Tripartite tangle tau = 4 |Hdet|.
 
-    With check=True (default) the value is cross-validated against the
-    monogamy route C_A(BC)^2 - C_AB^2 - C_AC^2; a disagreement beyond 1e-9
-    raises, since both routes are exact for pure states.
+    With check=True (default) the value is cross-validated by check_monogamy.
     """
     r, c, hdet = s.invariants
     tau = 4.0 * abs(hdet)
     if check:
-        alt = max(0.0, 1.0 - float(r[0]) ** 2) - float(c[0]) ** 2 - float(c[1]) ** 2
-        if abs(tau - alt) > 1e-9:
-            raise NumericalError(
-                f"tangle routes disagree: 4|Hdet| = {tau}, monogamy = {alt}"
-            )
+        check_monogamy(r[None], c[None], np.array([tau]))
     return tau
+
+
+def check_monogamy(r: np.ndarray, c: np.ndarray, tau: np.ndarray) -> None:
+    """Raise unless every tangle tau (n,) matches the monogamy route
+    C_A(BC)^2 - C_AB^2 - C_AC^2 of its row of r, c (from invariants) to
+    1e-9; both routes are exact for pure states."""
+    alt = np.maximum(0.0, 1.0 - r[:, 0] ** 2) - c[:, 0] ** 2 - c[:, 1] ** 2
+    i = int(np.argmax(np.abs(tau - alt)))
+    if abs(tau[i] - alt[i]) > 1e-9:
+        raise NumericalError(
+            f"tangle routes disagree: 4|Hdet| = {tau[i]}, monogamy = {alt[i]}")
 
 
 # Flat amplitude indices of the two slices (T0, T1) along each qubit, each

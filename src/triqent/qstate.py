@@ -163,11 +163,9 @@ def reassemble(st: SliceTensors) -> PureState3:
     return PureState3(t.reshape(8))
 
 
-def sample_haar(seed: int) -> PureState3:
-    """A Haar-random pure state: 8 iid standard complex Gaussians, normalized."""
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    return normalize(v)
+def sample_haar(seed) -> PureState3:
+    """A Haar-random pure state: one row of _haar_amps, normalized."""
+    return normalize(_haar_amps(1, np.random.default_rng(seed))[0])
 
 
 def _haar_amps(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -213,82 +211,80 @@ TYPE_IDS = tuple(_TYPE_SUPPORTS)
 _LAMBDA2_FLOOR = 1e-4
 
 
-def _draw_lambdas(support, rng: np.random.Generator):
-    """One Dirichlet draw of squared coefficients on the support, floored."""
+def _draw_lambdas(support, n: int, rng: np.random.Generator,
+                  lead: float = 0.0) -> np.ndarray:
+    """n rows of canonical coefficients (l0..l4) on the support, shape (n, 5).
+
+    The squared values are lead on the first support slot plus (1 - lead)
+    times a Dirichlet(1, ..., 1) draw, i.e. uniform on the part of the
+    simplex where that slot holds at least lead; rows with an active value
+    below the floor are redrawn, for at most 200 rounds.
+    """
+    k, e0 = len(support), np.eye(len(support))[0]
+
+    def draw(m):
+        return lead * e0 + (1.0 - lead) * rng.dirichlet(np.ones(k), size=m)
+
+    lam2 = draw(n)
     for _ in range(200):
-        lam2 = rng.dirichlet(np.ones(len(support)))
-        if len(support) == 1 or lam2.min() >= _LAMBDA2_FLOOR:
-            lam = np.zeros(5)
-            lam[list(support)] = np.sqrt(lam2)
-            return lam
-    raise NumericalError("simplex sampler failed to clear the floor")
+        bad = lam2.min(axis=1) < _LAMBDA2_FLOOR
+        if not bad.any():
+            break
+        lam2[bad] = draw(int(bad.sum()))
+    else:
+        raise NumericalError("simplex sampler failed to clear the floor")
+    lam = np.zeros((n, 5))
+    lam[:, list(support)] = np.sqrt(lam2)
+    return lam
 
 
-def sample_type(t: str, seed: int) -> PureState3:
+def sample_type(t: str, seed) -> PureState3:
     """A random state of the requested entanglement type.
 
-    Draws canonical coefficients with the type's zero pattern (squared values
-    uniform on the simplex, floored at 1e-4), a phase uniform on [0, pi] when
-    l1 is active, reconstructs, then scrambles with three independent
-    Haar-random local unitaries. The result is checked to classify back to
-    the requested type; coarse ids accept their refined sub-kinds.
+    One row of _sample_type_batch, normalized, checked to classify back to
+    the requested type (coarse ids accept their refined sub-kinds) and
+    redrawn from the same generator if it does not.
     """
-    from .canonical import CanonicalForm, classify, reconstruct
+    from .canonical import classify
 
-    if t not in _TYPE_SUPPORTS:
-        raise UnknownType(f"unknown entanglement type {t!r}")
     rng = np.random.default_rng(seed)
-    supports = _TYPE_SUPPORTS[t]
     for _ in range(100):
-        support = supports[int(rng.integers(len(supports)))]
-        lam = _draw_lambdas(support, rng)
-        phi = float(rng.uniform(0.0, np.pi)) if lam[1] > 0 else 0.0
-        out = reconstruct(CanonicalForm(lambdas=tuple(lam), phi=phi, branch="plus"))
-        for q in QUBITS:
-            out = apply_local_unitary(out, LocalUnitary(_haar_u2_batch(1, rng)[0], q))
-        got = classify(out)
-        if got.kind == t or got.kind.startswith(t + "-"):
+        out = normalize(_sample_type_batch(t, 1, rng)[0])
+        got = classify(out).kind
+        if got == t or got.startswith(t + "-"):
             return out
     raise NumericalError(f"could not produce a state classifying as {t!r}")
 
 
-def _sample_type_batch(t: str, n: int, seed: int) -> np.ndarray:
-    """n amplitude rows of the given type, vectorized, without classify checks.
+def _sample_type_batch(t: str, n: int, seed) -> np.ndarray:
+    """n amplitude rows of the given type, shape (n, 8).
 
-    Same construction as sample_type (Dirichlet coefficients, floored, local
-    unitary scramble); used by the Monte Carlo verification passes where the
-    per-sample classify round-trip would dominate the runtime.
+    Canonical coefficients with the type's zero pattern (squared values
+    uniform on the simplex, floored at 1e-4; one support per row for coarse
+    ids with several), a phase uniform on [0, pi] when l1 is active, then
+    three independent Haar-random local unitaries. seed may be an int or a
+    Generator.
     """
     if t not in _TYPE_SUPPORTS:
         raise UnknownType(f"unknown entanglement type {t!r}")
     rng = np.random.default_rng(seed)
     supports = _TYPE_SUPPORTS[t]
     pick = rng.integers(len(supports), size=n)
+    # With l1 = 0 the pencil det(z T0 + w T1) is w (z l0 l4 - w l2 l3); its
+    # other root, w/z = x = l0 l4 / (l2 l3), gives l0'^2 = (l0^2 + x^2 (1 -
+    # l0^2)) / (1 + x^2), which beats l0^2 exactly when l0^2 < 1/2, and
+    # canonical_decompose keeps the larger l0. So a 4c canonical form has
+    # l0^2 >= 1/2, and 4c is drawn there only.
+    lead = 0.5 if t == "4c" else 0.0
     amp = np.zeros((n, 8), dtype=complex)
     for si, support in enumerate(supports):
         mask = pick == si
         k = int(mask.sum())
-        if k == 0:
-            continue
-        lam2 = rng.dirichlet(np.ones(len(support)), size=k)
-        if len(support) > 1:
-            for _ in range(200):
-                bad = lam2.min(axis=1) < _LAMBDA2_FLOOR
-                if not bad.any():
-                    break
-                lam2[bad] = rng.dirichlet(np.ones(len(support)), size=int(bad.sum()))
-        lam = np.sqrt(lam2)
-        sub = np.zeros((k, 8), dtype=complex)
-        for j, slot in enumerate(support):
-            sub[:, _CD_AMP_IDX[slot]] = lam[:, j]
+        lam = _draw_lambdas(support, k, rng, lead).astype(complex)
         if 1 in support:
-            sub[:, 4] = sub[:, 4] * np.exp(1j * rng.uniform(0.0, np.pi, size=k))
-        amp[mask] = sub
+            lam[:, 1] *= np.exp(1j * rng.uniform(0.0, np.pi, size=k))
+        amp[np.ix_(mask, _CD_AMP_IDX)] = lam
     t3 = amp.reshape(n, 2, 2, 2)
-    u = _haar_u2_batch(n, rng)
-    t3 = np.einsum("nij,njbc->nibc", u, t3)
-    u = _haar_u2_batch(n, rng)
-    t3 = np.einsum("nij,najc->naic", u, t3)
-    u = _haar_u2_batch(n, rng)
-    t3 = np.einsum("nij,nabj->nabi", u, t3)
+    for spec in ("nij,njbc->nibc", "nij,najc->naic", "nij,nabj->nabi"):
+        t3 = np.einsum(spec, _haar_u2_batch(n, rng), t3)
     return t3.reshape(n, 8)

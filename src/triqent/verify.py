@@ -103,7 +103,7 @@ def _w() -> qstate.PureState3:
 
 
 def _haar_state(rng: np.random.Generator) -> qstate.PureState3:
-    return qstate.normalize(rng.normal(size=8) + 1j * rng.normal(size=8))
+    return qstate.normalize(qstate._haar_amps(1, rng)[0])
 
 
 def _seven_invariants(s: qstate.PureState3) -> np.ndarray:
@@ -516,7 +516,7 @@ def _check_tau_surface(seed: int) -> str:
             "numerical minimum strays from the saturating curve"
     worst = 0.0
     for _ in range(50):
-        lam = qstate._draw_lambdas((0, 2, 3, 4), rng)
+        lam = qstate._draw_lambdas((0, 2, 3, 4), 1, rng)[0]
         cf = canonical.CanonicalForm(lambdas=tuple(lam), phi=0.0, branch="plus")
         s = canonical.reconstruct(cf)
         rr = polytope.big_r(entanglement.bloch_triple(s))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from triqent import PureState3, normalize
+from triqent.qstate import _haar_amps
 
 
 def ket(*pairs: tuple[int, complex]) -> PureState3:
@@ -23,4 +24,4 @@ def w_state() -> PureState3:
 
 
 def haar_state(rng: np.random.Generator) -> PureState3:
-    return normalize(rng.normal(size=8) + 1j * rng.normal(size=8))
+    return normalize(_haar_amps(1, rng)[0])

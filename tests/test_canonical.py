@@ -116,7 +116,7 @@ def test_scrambled_tangle_free_states_keep_clean_coefficients():
     # coefficients that must vanish, flipping the type reading
     rng = np.random.default_rng(53)
     for _ in range(300):
-        lam = _draw_lambdas((0, 2, 3), rng)
+        lam = _draw_lambdas((0, 2, 3), 1, rng)[0]
         s = reconstruct(CanonicalForm(lambdas=tuple(lam), phi=0.0,
                                       branch="plus"))
         for q in QUBITS:

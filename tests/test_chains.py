@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import ghz, haar_state, w_state
+from conftest import ghz, haar_state, ket, w_state
 from triqent import (
     CROSSINGS,
     MODELS,
@@ -36,7 +36,7 @@ from triqent import (
     symmetry_labels,
     tangle,
 )
-from triqent.chains import _DEG_FAMILY, _random_params, GAP_TOL
+from triqent.chains import _DEG_FAMILY, _random_params, GAP_TOL, symmetry_label_rows
 
 GRIDS = {
     "tfim": np.linspace(0.0, 2.5, 21),
@@ -402,6 +402,22 @@ def test_symmetry_labels_of_chain_states():
     lab = symmetry_labels(closed_form_eigenstate("tfim", 1, 0.7))
     assert (lab.k, lab.zflip) == (0, -1)
     assert symmetry_labels(closed_form_eigenstate("xzx", 5, 0.7)).k == 0
+
+
+def test_batch_labels_match_the_per_state_labels():
+    rng = np.random.default_rng(368)
+    # ket 0 - ket 7 has spin-flip sign -1, ket 1 - ket 4 reversal sign -1
+    states = [PureState3(WT1_KET), PureState3(X3WT2_KET), ghz(), w_state(),
+              ket((0, 1.0), (7, -1.0)), ket((1, 1.0), (4, -1.0))]
+    states += [closed_form_eigenstate("tfim", n, 0.7) for n in (0, 1, 2, 5)]
+    states += [closed_form_eigenstate("xxx", 1, 0.3, _random_params(2, rng)),
+               closed_form_eigenstate("xzx", 4, 1.3)]
+    states += [haar_state(rng) for _ in range(4)]
+    rows = symmetry_label_rows(np.array([s.amp for s in states]))
+    assert rows == [symmetry_labels(s) for s in states]
+    for field in ("k", "p", "m_z", "refl", "zflip"):
+        seen = {getattr(lab, field) for lab in rows}
+        assert None in seen and len(seen) >= 3, field
 
 
 def test_generic_states_carry_no_labels():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,31 @@ def test_non_finite_states_are_usage_errors_and_huge_ones_normalize(capsys):
     for key in ref:
         if key != "state":
             assert got[key] == pytest.approx(ref[key], abs=1e-15), key
+
+
+@pytest.mark.parametrize("env_seed, argv", [
+    (None, "sample --type 3b --n 2 --seed -1"),
+    (None, "sweep --model tfim --delta-min 0 --delta-max 1 --points 3 --seed -1"),
+    (None, "verify --check normalize-phase --seed -1"),
+    ("-5", "sample --type 3b --n 2"),
+    (None, "classify --state w --tol nan"),
+    (None, "classify --state w --zero-tol nan"),
+    (None, "classify --state w --zero-tol -1"),
+    (None, "cd --state w --tol nan"),
+    (None, "sweep --model tfim --delta-min nan --delta-max 1 --points 3"),
+    (None, "sweep --model tfim --delta-min 0 --delta-max inf --points 3"),
+    (None, "sweep --model tfim --delta-min 0 --delta-max 1 --points 3 --perturb nan"),
+    (None, "bounds --r-max inf"),
+])
+def test_bad_seeds_tolerances_and_windows_are_usage_errors(capsys, monkeypatch,
+                                                           env_seed, argv):
+    if env_seed is not None:
+        monkeypatch.setenv("TRIQENT_SEED", env_seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_argparse_errors_return_their_own_code(capsys):

@@ -245,7 +245,7 @@ def test_minimizing_over_the_fiber_recovers_the_lower_bound():
 def test_tau_surface_covers_reconstructed_states():
     rng = np.random.default_rng(241)
     for _ in range(40):
-        lam = _draw_lambdas((0, 2, 3, 4), rng)
+        lam = _draw_lambdas((0, 2, 3, 4), 1, rng)[0]
         s = reconstruct(CanonicalForm(lambdas=tuple(lam), phi=0.0, branch="plus"))
         rr = big_r(bloch_triple(s))
         tau = 4.0 * abs(invariants(s.amp)[2][0])

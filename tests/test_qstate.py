@@ -23,7 +23,7 @@ from triqent import (
     slice_state,
     tangle,
 )
-from triqent.qstate import _haar_u2_batch
+from triqent.qstate import _haar_u2_batch, _sample_type_batch
 
 
 def test_normalize_fixes_scale_and_global_phase():
@@ -154,6 +154,15 @@ def test_sample_type_round_trips_through_classify():
         seed = int(rng.integers(1 << 32))
         got = classify(sample_type(t, seed)).kind
         assert got.startswith(t)
+
+
+def test_batch_rows_classify_as_their_type():
+    # 4c rows drawn with l0^2 < 1/2 would decompose on the other branch
+    # and classify as type 5
+    for i, t in enumerate(TYPE_IDS):
+        for row in _sample_type_batch(t, 500, 900 + i):
+            got = classify(normalize(row)).kind
+            assert got == t or got.startswith(t + "-"), (t, got)
 
 
 def test_sample_type_seed_determinism():
