@@ -125,6 +125,8 @@ def eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = np.asarray(h, dtype=complex)
     if h.shape != (8, 8):
         raise ValidationError(f"expected an 8 x 8 matrix, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValidationError("matrix has non-finite entries")
     if np.max(np.abs(h - h.conj().T)) > 1e-10:
         raise ValidationError("matrix is not Hermitian within 1e-10")
     try:

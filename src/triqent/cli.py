@@ -22,7 +22,7 @@ COARSE_TYPES = ("1", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5")
 
 ANALYZE_FIELDS = ("state", "r_a", "r_b", "r_c", "big_r",
                   "s_a", "s_b", "s_c", "c_ab", "c_ac", "c_bc", "tau")
-BOUNDS_FIELDS = ("big_r", "tau_max", "tau_star", "tau_up", "tau_down")
+BOUNDS_FIELDS = ("big_r", *polytope.CURVE_KINDS)
 SAMPLE_FIELDS = ("type", "r_a", "r_b", "r_c", "big_r", "tau", "d")
 VERIFY_FIELDS = ("name", "passed", "detail", "seed")
 
@@ -198,14 +198,9 @@ def _cmd_bounds(args) -> tuple[str, int]:
     if not 0.0 <= args.r_min <= args.r_max:
         raise ValidationError(
             f"need 0 <= r-min <= r-max, got {args.r_min}, {args.r_max}")
-    rows = []
-    for r in np.linspace(args.r_min, args.r_max, args.points):
-        rows.append((float(r),
-                     polytope.bound_curve("tau_max", float(r)),
-                     polytope.bound_curve("tau_star", float(r)),
-                     polytope.bound_curve("tau_up", float(r)),
-                     polytope.bound_curve("tau_down", float(r))))
-    return _table(BOUNDS_FIELDS, rows, args.format), 0
+    r = np.linspace(args.r_min, args.r_max, args.points)
+    cols = [r] + [polytope.bound_curve(kind, r) for kind in polytope.CURVE_KINDS]
+    return _table(BOUNDS_FIELDS, list(zip(*(c.tolist() for c in cols))), args.format), 0
 
 
 def _cmd_sample(args) -> tuple[str, int]:
@@ -217,11 +212,8 @@ def _cmd_sample(args) -> tuple[str, int]:
         sub = int(np.random.default_rng([args.seed, i]).integers(1 << 32))
         amps = qstate._sample_type_batch(kind, args.n, sub)
         r, _, hdet = entanglement.invariants(amps)
-        tau = 4.0 * np.abs(hdet)
-        for j in range(args.n):
-            bt = entanglement.BlochTriple(*map(float, r[j]))
-            rows.append((kind, bt.r_a, bt.r_b, bt.r_c, polytope.big_r(bt),
-                         float(tau[j]), polytope.dist_to_diagonal(bt)))
+        cols = (*r.T, polytope.big_r(r), 4.0 * np.abs(hdet), polytope.dist_to_diagonal(r))
+        rows.extend((kind, *row) for row in zip(*(c.tolist() for c in cols)))
     return _table(SAMPLE_FIELDS, rows, args.format), 0
 
 

@@ -66,10 +66,6 @@ class CrossingPoint(ValidationError):
     """The request is ambiguous at a level crossing without the merged basis."""
 
 
-class NegativeRadicand(NumericalError):
-    """A radicand that should be non-negative came out below -1e-12."""
-
-
 class ComplexTau(NumericalError):
     """The surface radicand is negative: the requested point is unreachable."""
 

@@ -1,6 +1,7 @@
 """Bloch-norm geometry: the bipyramid and its strata, R, the distance to the
 main diagonal, the (R, tau) bound curves, the fibration surfaces, and the
-geometric tangle ansatz."""
+geometric tangle ansatz. Each function maps Bloch rows (..., 3), or arrays
+of R, elementwise; a BlochTriple, one row or a scalar R gives a scalar."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -11,9 +12,9 @@ from .canonical import CanonicalForm, EntLabel
 from .entanglement import BlochTriple
 from .errors import (
     ComplexTau,
-    NegativeRadicand,
     OutOfDomain,
     UnknownRegion,
+    UnknownType,
     UnsupportedType,
     ValidationError,
 )
@@ -76,13 +77,47 @@ class BoundCurve:
         if self.kind not in CURVE_KINDS:
             raise ValidationError(f"unknown bound curve {self.kind!r}")
 
-    def at(self, r: float) -> float:
+    def at(self, r):
         return bound_curve(self.kind, r)
 
 
-def big_r(bt: BlochTriple) -> float:
-    """Euclidean norm of the Bloch triple, in [0, sqrt 3]."""
-    return float(np.sqrt(bt.r_a ** 2 + bt.r_b ** 2 + bt.r_c ** 2))
+def _out(x):
+    """A Python scalar for a single row or R, otherwise the array."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
+
+
+def _real(what: str, *xs) -> list[np.ndarray]:
+    """The values as finite float arrays of broadcast-compatible shapes."""
+    try:
+        arrs = [np.asarray(x) for x in xs]
+        np.broadcast(*arrs)
+    except ValueError:
+        raise ValidationError(f"{what} must be arrays of broadcast-compatible shapes") from None
+    if any(a.dtype.kind not in "biuf" or not np.isfinite(a).all() for a in arrs):
+        raise ValidationError(f"{what} must be finite real numbers")
+    return [np.asarray(a, dtype=float) for a in arrs]
+
+
+def _rows(r) -> np.ndarray:
+    """Bloch rows (..., 3) from a BlochTriple or an array-like."""
+    if isinstance(r, BlochTriple):
+        r = r.as_array()
+    (rows,) = _real("Bloch norms", r)
+    if rows.shape[-1:] != (3,):
+        raise ValidationError(f"Bloch rows need a trailing axis of 3, got shape {rows.shape}")
+    return rows
+
+
+def _in_range(what: str, x: np.ndarray, lo: float, hi: float, interval: str) -> None:
+    bad = x[(x < lo - _DUST) | (x > hi + _DUST)]
+    if bad.size:
+        raise OutOfDomain(f"{what} = {bad.flat[0]} outside {interval}")
+
+
+def big_r(r):
+    """Euclidean norm of each Bloch row, in [0, sqrt 3]."""
+    rows = _rows(r)
+    return _out(np.sqrt(rows[..., 0] ** 2 + rows[..., 1] ** 2 + rows[..., 2] ** 2))
 
 
 def big_r_from_cf(cf: CanonicalForm) -> float:
@@ -92,57 +127,80 @@ def big_r_from_cf(cf: CanonicalForm) -> float:
     D = l1^2 l4^2 + l2^2 l3^2 - 2 l1 l2 l3 l4 cos(phi). Agrees with the
     norm of the reconstructed state's Bloch triple to machine precision.
     """
+    _real("canonical coefficients and phase", cf.lambdas, cf.phi)
     l0, l1, l2, l3, l4 = cf.lambdas
     d = l1 ** 2 * l4 ** 2 + l2 ** 2 * l3 ** 2 - 2.0 * l1 * l2 * l3 * l4 * np.cos(cf.phi)
     r2 = 3.0 - 4.0 * l0 ** 2 * (3.0 - 3.0 * l0 ** 2 - 3.0 * l1 ** 2 - l2 ** 2 - l3 ** 2) - 8.0 * d
     return float(np.sqrt(np.clip(r2, 0.0, 3.0)))
 
 
-def dist_to_diagonal(bt: BlochTriple) -> float:
-    """Distance from the Bloch triple to the main diagonal r_A = r_B = r_C."""
-    ra, rb, rc = bt.r_a, bt.r_b, bt.r_c
+def dist_to_diagonal(r):
+    """Distance from each Bloch row to the main diagonal r_A = r_B = r_C."""
+    rows = _rows(r)
+    ra, rb, rc = rows[..., 0], rows[..., 1], rows[..., 2]
     # sum-of-squared-differences form of r.r - sum of cross terms; the direct
     # expression cancels catastrophically for near-diagonal triples
     rad = 0.5 * ((ra - rb) ** 2 + (ra - rc) ** 2 + (rb - rc) ** 2)
-    if rad < -_DUST:
-        raise NegativeRadicand(f"diagonal-distance radicand {rad}")
-    return float(np.sqrt(2.0 / 3.0) * np.sqrt(max(rad, 0.0)))
+    return _out(np.sqrt(2.0 / 3.0) * np.sqrt(rad))
 
 
-def membership(bt: BlochTriple, reg: Region) -> bool:
-    """Whether a Bloch triple lies in the region, within its tolerance."""
-    ra, rb, rc = bt.r_a, bt.r_b, bt.r_c
+def membership(r, reg: Region):
+    """Whether each Bloch row lies in the region, within its tolerance."""
+    rows = _rows(r)
+    ra, rb, rc = rows[..., 0], rows[..., 1], rows[..., 2]
     tol = reg.tol
     if reg.kind == "face":
         sa, sb, sc = reg.signs
-        return abs(sa * ra - sb * rb - sc * rc + 1.0) <= tol
-    if reg.kind == "diagonal":
-        return dist_to_diagonal(bt) <= tol
-    if reg.kind == "triangle-12":
-        return abs(ra - rb) <= tol and rc > ra + tol and rc > rb + tol
-    if reg.kind == "triangle-23":
-        return abs(rb - rc) <= tol and ra > rb + tol and ra > rc + tol
-    if reg.kind == "triangle-13":
-        return abs(ra - rc) <= tol and rb > ra + tol and rb > rc + tol
-    if reg.kind == "wedge-l2":
-        return rb + tol < min(ra, rc)
-    if reg.kind == "wedge-l3":
-        return rc + tol < min(ra, rb)
-    in_box = all(-tol <= r <= 1.0 + tol for r in (ra, rb, rc))
-    planes = (
-        1.0 + ra - rb - rc >= -tol
-        and 1.0 - ra + rb - rc >= -tol
-        and 1.0 - ra - rb + rc >= -tol
-    )
-    if reg.kind == "bipyramid":
-        return in_box and planes
-    if reg.kind == "upper-tetrahedron":
-        return in_box and planes and (ra + rb + rc >= 1.0 - tol)
-    raise UnknownRegion(f"unknown region kind {reg.kind!r}")
+        ok = np.abs(sa * ra - sb * rb - sc * rc + 1.0) <= tol
+    elif reg.kind == "diagonal":
+        ok = dist_to_diagonal(rows) <= tol
+    elif reg.kind == "triangle-12":
+        ok = (np.abs(ra - rb) <= tol) & (rc > ra + tol) & (rc > rb + tol)
+    elif reg.kind == "triangle-23":
+        ok = (np.abs(rb - rc) <= tol) & (ra > rb + tol) & (ra > rc + tol)
+    elif reg.kind == "triangle-13":
+        ok = (np.abs(ra - rc) <= tol) & (rb > ra + tol) & (rb > rc + tol)
+    elif reg.kind == "wedge-l2":
+        ok = rb + tol < np.minimum(ra, rc)
+    elif reg.kind == "wedge-l3":
+        ok = rc + tol < np.minimum(ra, rb)
+    else:
+        ok = (((rows >= -tol) & (rows <= 1.0 + tol)).all(axis=-1)
+              & (1.0 + ra - rb - rc >= -tol) & (1.0 - ra + rb - rc >= -tol)
+              & (1.0 - ra - rb + rc >= -tol))
+        if reg.kind == "upper-tetrahedron":
+            ok &= ra + rb + rc >= 1.0 - tol
+    return _out(ok)
 
 
-def bound_curve(kind: str, r: float) -> float:
-    """Evaluate one of the (R, tau) bound curves; nan outside its domain.
+# the regions whose union is each coarse type's stratum; types 1 and 2a are
+# the vertex (1, 1, 1) and the edges through it, and 3a takes the face planes
+# only where r_A + r_B + r_C >= 1
+_STRATA = {"2b": ("diagonal",), "3a": ("face",), "4a": ("upper-tetrahedron",),
+           "3b": ("triangle-12", "triangle-23", "triangle-13"),
+           "4b": ("wedge-l2", "wedge-l3"), "4c": ("bipyramid",), "5": ("bipyramid",)}
+
+
+def in_stratum(kind: str, r, tol: float = 1e-9):
+    """Whether each Bloch row lies in the stratum of a coarse type, within tol."""
+    rows = _rows(r)
+    if kind == "1":
+        return _out(np.max(np.abs(rows - 1.0), axis=-1) <= tol)
+    if kind == "2a":
+        srt = np.sort(rows, axis=-1)
+        return _out((np.abs(srt[..., 2] - 1.0) <= tol) & (np.abs(srt[..., 0] - srt[..., 1]) <= tol))
+    if kind not in _STRATA:
+        raise UnknownType(f"no stratum for type {kind!r}")
+    regions = [Region(t, tol, sg) for t in _STRATA[kind]
+               for sg in (FACE_SIGNS if t == "face" else (None,))]
+    ok = np.logical_or.reduce([membership(rows, reg) for reg in regions])
+    if kind == "3a":
+        ok &= rows.sum(axis=-1) >= 1.0 - tol
+    return _out(ok)
+
+
+def bound_curve(kind: str, r):
+    """Evaluate one of the (R, tau) bound curves at each R; nan outside its domain.
 
     tau_max = 1 - R^2/3 everywhere. tau_star is the piecewise saturating
     curve: 5 tau_max - 4 sqrt(tau_max) up to the crossover, 1 - R^2 to
@@ -152,47 +210,41 @@ def bound_curve(kind: str, r: float) -> float:
     """
     if kind not in CURVE_KINDS:
         raise ValidationError(f"unknown bound curve {kind!r}")
-    if r < -_DUST or r > SQRT3 + _DUST:
-        raise OutOfDomain(f"R = {r} outside [0, sqrt 3]")
-    r = min(max(float(r), 0.0), SQRT3)
-    tau_m = max(1.0 - r * r / 3.0, 0.0)
+    (r,) = _real("R", r)
+    _in_range("R", r, 0.0, SQRT3, "[0, sqrt 3]")
+    r = np.minimum(np.maximum(r, 0.0), SQRT3)
+    tau_m = np.maximum(1.0 - r * r / 3.0, 0.0)
     if kind == "tau_max":
-        return tau_m
-    if kind == "tau_star":
-        if r <= CROSSOVER_R:
-            return 5.0 * tau_m - 4.0 * np.sqrt(tau_m)
-        if r <= 1.0:
-            return 1.0 - r * r
-        return 0.0
-    if kind == "tau_up":
+        out = tau_m
+    elif kind == "tau_star":
+        out = np.where(r <= CROSSOVER_R, 5.0 * tau_m - 4.0 * np.sqrt(tau_m),
+                       np.where(r <= 1.0, 1.0 - r * r, 0.0))
+    elif kind == "tau_up":
         rad = 9.0 - 21.0 * r * r
-        if abs(rad) < _DUST:
-            rad = 0.0
-        if rad < 0.0:
-            return float("nan")
-        return (17.0 / 49.0 - 5.0 * r * r / 21.0) - (32.0 / 147.0) * np.sqrt(rad)
-    # tau_down
-    if r < R_W - _DUST or r > R_STAR + _DUST:
-        return float("nan")
-    inner = (R_W + R_STAR) * (R_STAR - r) / (R_STAR ** 2 - R_W ** 2)
-    return 0.25 * (1.0 - np.sqrt(max(inner, 0.0)))
+        rad = np.where(np.abs(rad) < _DUST, 0.0, rad)
+        out = np.where(rad < 0.0, np.nan, (17.0 / 49.0 - 5.0 * r * r / 21.0)
+                       - (32.0 / 147.0) * np.sqrt(np.maximum(rad, 0.0)))
+    else:
+        inner = (R_W + R_STAR) * (R_STAR - r) / (R_STAR ** 2 - R_W ** 2)
+        out = np.where((r < R_W - _DUST) | (r > R_STAR + _DUST), np.nan,
+                       0.25 * (1.0 - np.sqrt(np.maximum(inner, 0.0))))
+    return _out(out)
 
 
-def lambda3_star(r: float) -> float:
-    """Saturating third coefficient along the l2 = 0 fibration.
+def lambda3_star(r):
+    """Saturating third coefficient along the l2 = 0 fibration, at each R.
 
     sqrt(3 - sqrt(9 - 3 R^2)) up to the crossover, R/sqrt(2) beyond it;
     defined for R in (0, 1] with the R -> 0 limit included.
     """
-    if r < -_DUST or r > 1.0 + _DUST:
-        raise OutOfDomain(f"R = {r} outside (0, 1]")
-    r = min(max(float(r), 0.0), 1.0)
-    if r <= CROSSOVER_R:
-        return float(np.sqrt(3.0 - np.sqrt(9.0 - 3.0 * r * r)))
-    return float(r / np.sqrt(2.0))
+    (r,) = _real("R", r)
+    _in_range("R", r, 0.0, 1.0, "(0, 1]")
+    r = np.minimum(np.maximum(r, 0.0), 1.0)
+    return _out(np.where(r <= CROSSOVER_R, np.sqrt(3.0 - np.sqrt(9.0 - 3.0 * r * r)),
+                         r / np.sqrt(2.0)))
 
 
-def tau_surface(r: float, l2: float, l3: float, branch: str = "plus") -> float:
+def tau_surface(r, l2, l3, branch: str = "plus"):
     """Tangle on the constrained surface parametrized by (R, l2, l3).
 
     With s = l2^2 + l3^2 and u = l2^2 l3^2 the two branches read
@@ -201,55 +253,55 @@ def tau_surface(r: float, l2: float, l3: float, branch: str = "plus") -> float:
     -q) reduces to the single-coefficient fibration at l2 = 0 and puts its
     zero set at R^2 = 3 - 8 s + 8 s^2, whose minimum over s is R = 1; the
     "minus" branch (taking +q) is the variant containing the point
-    (R, l2, l3) = (1/sqrt3, 1/sqrt3, 1/sqrt3) at tau = 0. A negative
-    radicand beyond dust means the point is unreachable and raises.
+    (R, l2, l3) = (1/sqrt3, 1/sqrt3, 1/sqrt3) at tau = 0. R, l2 and l3
+    broadcast together. A negative radicand beyond dust at any point means
+    that point is unreachable and raises.
     """
     if branch not in ("plus", "minus"):
         raise ValidationError(f"branch must be plus or minus, got {branch!r}")
-    if r < -_DUST or r > SQRT3 + _DUST:
-        raise OutOfDomain(f"R = {r} outside [0, sqrt 3]")
-    if not (-_DUST <= l2 <= 1.0 + _DUST) or not (-_DUST <= l3 <= 1.0 + _DUST):
-        raise OutOfDomain(f"coefficients ({l2}, {l3}) outside [0, 1]")
+    r, l2, l3 = _real("R, l2 and l3", r, l2, l3)
+    _in_range("R", r, 0.0, SQRT3, "[0, sqrt 3]")
+    _in_range("l2", l2, 0.0, 1.0, "[0, 1]")
+    _in_range("l3", l3, 0.0, 1.0, "[0, 1]")
     s = l2 * l2 + l3 * l3
     u = (l2 * l2) * (l3 * l3)
     rad = 3.0 * r * r + s * s - 6.0 * s + 24.0 * u
-    if abs(rad) < _DUST:
-        rad = 0.0
-    if rad < 0.0:
-        raise ComplexTau(f"surface radicand {rad} is negative")
-    q = float(np.sqrt(rad))
+    rad = np.where(np.abs(rad) < _DUST, 0.0, rad)
+    if np.any(rad < 0.0):
+        raise ComplexTau(f"surface radicand {rad[rad < 0.0].flat[0]} is negative")
+    q = np.sqrt(rad)
     tau_m = 1.0 - r * r / 3.0
     sign = -1.0 if branch == "plus" else 1.0
-    return float(tau_m + (4.0 * s / 9.0) * (s - 3.0 + sign * q) - (8.0 / 3.0) * u)
+    return _out(tau_m + (4.0 * s / 9.0) * (s - 3.0 + sign * q) - (8.0 / 3.0) * u)
 
 
-def ansatz_tau(bt: BlochTriple, f_value: float) -> float:
+def ansatz_tau(r, f_value):
     """Geometric tangle ansatz: tau_max(R) minus distance times the F factor."""
-    if f_value < 0:
-        raise ValidationError(f"F factor must be non-negative, got {f_value}")
-    r = big_r(bt)
-    return float(1.0 - r * r / 3.0 - dist_to_diagonal(bt) * f_value)
+    rows = _rows(r)
+    _, f = _real("Bloch norms and the F factor", rows[..., 0], f_value)
+    if np.any(f < 0):
+        raise ValidationError(f"F factor must be non-negative, got {f[f < 0].flat[0]}")
+    big = big_r(rows)
+    return _out(1.0 - big * big / 3.0 - dist_to_diagonal(rows) * f)
 
 
 # Per-type F factors to lowest order. The two wedge kinds admit two role
 # assignments of the Bloch norm entering the factor; "suppressed" pairs each
 # kind with the wedge's smallest norm, which empirically tracks the tangle,
-# and "swapped" is the transposed convention kept for comparison.
-_F_TRIANGLE = {
-    "3b-12": lambda bt: 2.0 * bt.r_c * np.sqrt(2.0 / 3.0),
-    "3b-23": lambda bt: 2.0 * bt.r_a * np.sqrt(2.0 / 3.0),
-    "3b-13": lambda bt: 2.0 * bt.r_b * np.sqrt(2.0 / 3.0),
-}
+# and "swapped" is the transposed convention kept for comparison. Each
+# triangle factor reads the norm outside the triangle's equal pair.
+_F_TRIANGLE = {"3b-12": 2, "3b-23": 0, "3b-13": 1}
 
 
-def f_lowest_order(label: EntLabel | str, bt: BlochTriple, pairing: str = "suppressed") -> float:
-    """Lowest-order F factor for the triangle and wedge types."""
+def f_lowest_order(label: EntLabel | str, r, pairing: str = "suppressed"):
+    """Lowest-order F factor of each Bloch row for the triangle and wedge types."""
     kind = label if isinstance(label, str) else label.kind
+    rows = _rows(r)
     if kind in _F_TRIANGLE:
-        return float(_F_TRIANGLE[kind](bt))
+        return _out(2.0 * rows[..., _F_TRIANGLE[kind]] * np.sqrt(2.0 / 3.0))
     if kind in ("4b-l2", "4b-l3"):
         if pairing not in ("suppressed", "swapped"):
             raise ValidationError(f"pairing must be suppressed or swapped, got {pairing!r}")
         use_b = (kind == "4b-l2") == (pairing == "suppressed")
-        return float(2.0 * np.sqrt(3.0) * (bt.r_b if use_b else bt.r_c))
+        return _out(2.0 * np.sqrt(3.0) * rows[..., 1 if use_b else 2])
     raise UnsupportedType(f"no lowest-order F factor for type {kind!r}")

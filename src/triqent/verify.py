@@ -6,7 +6,8 @@ passes by returning a one-line summary and fails by raising AssertionError
 the first failure, so a single run reports the health of the whole stack.
 
 Sample counts here are sized for an interactive run; the test suite drives
-the same properties at much larger counts.
+the same properties at much larger counts. The geometry checks hand whole
+sample arrays to polytope, whose in_stratum is the one type-to-stratum map.
 """
 from __future__ import annotations
 
@@ -390,32 +391,6 @@ def _check_cd_anchors(seed: int) -> str:
 # ---------------------------------------------------------------------------
 # polytope geometry
 
-def _strata_ok(kind: str, bt: entanglement.BlochTriple, tol: float = 1e-9) -> bool:
-    r = np.array([bt.r_a, bt.r_b, bt.r_c])
-    if kind == "1":
-        return bool(np.max(np.abs(r - 1.0)) <= tol)
-    if kind == "2a":
-        hi = int(np.argmax(r))
-        rest = np.delete(r, hi)
-        return abs(r[hi] - 1.0) <= tol and abs(rest[0] - rest[1]) <= tol
-    if kind == "2b":
-        return polytope.membership(bt, polytope.Region("diagonal", tol=tol))
-    if kind == "3a":
-        on_face = any(
-            polytope.membership(bt, polytope.Region("face", tol=tol, signs=sg))
-            for sg in polytope.FACE_SIGNS)
-        return on_face and float(r.sum()) >= 1.0 - tol
-    if kind == "3b":
-        return any(polytope.membership(bt, polytope.Region(t, tol=tol))
-                   for t in ("triangle-12", "triangle-23", "triangle-13"))
-    if kind == "4a":
-        return polytope.membership(bt, polytope.Region("upper-tetrahedron", tol=tol))
-    if kind == "4b":
-        return any(polytope.membership(bt, polytope.Region(t, tol=tol))
-                   for t in ("wedge-l2", "wedge-l3"))
-    return polytope.membership(bt, polytope.Region("bipyramid", tol=tol))
-
-
 @register("strata-membership")
 def _check_strata_membership(seed: int) -> str:
     rng = np.random.default_rng([seed, 12])
@@ -423,10 +398,9 @@ def _check_strata_membership(seed: int) -> str:
     for kind in ("1", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5"):
         amps = qstate._sample_type_batch(kind, n, int(rng.integers(1 << 32)))
         r = entanglement.invariants(amps)[0]
-        for row in r:
-            bt = entanglement.BlochTriple(*map(float, row))
-            assert _strata_ok(kind, bt), \
-                f"type {kind} sample left its stratum at r = {tuple(row)}"
+        ok = polytope.in_stratum(kind, r)
+        assert ok.all(), \
+            f"type {kind} sample left its stratum at r = {tuple(r[np.argmin(ok)])}"
     return f"9 types x {n} samples inside their strata"
 
 
@@ -436,9 +410,8 @@ def _check_bipyramid_membership(seed: int) -> str:
     n = 3000
     r = entanglement.invariants(qstate._haar_amps(n, rng))[0]
     reg = polytope.Region("bipyramid", tol=1e-9)
-    for row in r:
-        assert polytope.membership(entanglement.BlochTriple(*map(float, row)), reg), \
-            f"Haar sample escaped the bipyramid at r = {tuple(row)}"
+    ok = polytope.membership(r, reg)
+    assert ok.all(), f"Haar sample escaped the bipyramid at r = {tuple(r[np.argmin(ok)])}"
     assert not polytope.membership(entanglement.BlochTriple(0.9, 0.9, 0.05), reg)
     assert polytope.membership(entanglement.BlochTriple(1 / 3, 1 / 3, 1 / 3),
                                polytope.Region("diagonal"))
@@ -451,12 +424,10 @@ def _check_bipyramid_membership(seed: int) -> str:
 @register("master-r2")
 def _check_master_r2(seed: int) -> str:
     rng = np.random.default_rng([seed, 14])
-    worst = 0.0
-    for _ in range(500):
-        s = _haar_state(rng)
-        direct = polytope.big_r(entanglement.bloch_triple(s))
-        from_cf = polytope.big_r_from_cf(canonical.canonical_decompose(s))
-        worst = max(worst, abs(direct - from_cf))
+    states = [_haar_state(rng) for _ in range(500)]
+    direct = polytope.big_r(np.array([s.invariants[0] for s in states]))
+    from_cf = [polytope.big_r_from_cf(canonical.canonical_decompose(s)) for s in states]
+    worst = float(np.max(np.abs(direct - from_cf)))
     assert worst <= 1e-9, f"R from coefficients drifts from geometry by {worst:.3e}"
     assert polytope.big_r(entanglement.bloch_triple(_ghz())) <= 1e-12
     assert abs(polytope.big_r(entanglement.bloch_triple(_state((0, 1.0)))) - np.sqrt(3.0)) <= 1e-12
@@ -473,13 +444,12 @@ def _check_bound_curves(seed: int) -> str:
     assert np.isnan(polytope.bound_curve("tau_up", 0.9))
     assert np.isnan(polytope.bound_curve("tau_down", 0.5))
     assert np.isnan(polytope.bound_curve("tau_down", 0.8))
-    for r in np.linspace(0.0, np.sqrt(3.0), 200):
-        assert polytope.bound_curve("tau_star", float(r)) <= \
-            polytope.bound_curve("tau_max", float(r)) + 1e-12
-    for r in np.linspace(polytope.R_W, polytope.R_STAR, 100):
-        assert polytope.bound_curve("tau_down", float(r)) >= \
-            polytope.bound_curve("tau_up", float(r)) - 1e-12, \
-            "two-branch band closed"
+    r = np.linspace(0.0, np.sqrt(3.0), 200)
+    assert np.all(polytope.bound_curve("tau_star", r)
+                  <= polytope.bound_curve("tau_max", r) + 1e-12)
+    r = np.linspace(polytope.R_W, polytope.R_STAR, 100)
+    assert np.all(polytope.bound_curve("tau_down", r)
+                  >= polytope.bound_curve("tau_up", r) - 1e-12), "two-branch band closed"
     assert polytope.BoundCurve("tau_max").at(0.5) == polytope.bound_curve("tau_max", 0.5)
     _expect(OutOfDomain, polytope.bound_curve, "tau_max", 2.0)
     _expect(ValidationError, polytope.bound_curve, "tau_side", 0.5)
@@ -489,41 +459,37 @@ def _check_bound_curves(seed: int) -> str:
 @register("tau-surface")
 def _check_tau_surface(seed: int) -> str:
     rng = np.random.default_rng([seed, 15])
-    for r in np.linspace(0.0, 1.4, 29):
-        for branch in ("plus", "minus"):
-            assert abs(polytope.tau_surface(float(r), 0.0, 0.0, branch)
-                       - (1.0 - r * r / 3.0)) <= 1e-12
+    r = np.linspace(0.0, 1.4, 29)
+    for branch in ("plus", "minus"):
+        assert np.max(np.abs(polytope.tau_surface(r, 0.0, 0.0, branch)
+                             - (1.0 - r * r / 3.0))) <= 1e-12
     assert abs(polytope.tau_surface(1.0, 0.0, 1 / np.sqrt(2.0), "plus")) <= 1e-12
-    for r in np.linspace(0.05, 1.0, 20):
-        # the interior stationary fiber evaluates to 1 - R^2 exactly
-        assert abs(polytope.tau_surface(float(r), 0.0, float(r / np.sqrt(2.0)), "plus")
-                   - (1.0 - r * r)) <= 1e-12
-    for r in np.linspace(0.05, 0.56, 18):
-        sat = float(np.sqrt(3.0 - np.sqrt(9.0 - 3.0 * r * r)))
-        up = polytope.tau_surface(float(r), 0.0, sat, "plus")
-        dn = polytope.tau_surface(float(r), 0.0, sat, "minus")
-        star = polytope.bound_curve("tau_star", float(r))
-        assert abs(up - dn) <= 1e-10, "branches fail to meet at saturation"
-        assert abs(up - star) <= 1e-10, "saturating fiber misses the lower bound"
-        assert abs(polytope.lambda3_star(float(r)) - sat) <= 1e-12
+    r = np.linspace(0.05, 1.0, 20)
+    # the interior stationary fiber evaluates to 1 - R^2 exactly
+    assert np.max(np.abs(polytope.tau_surface(r, 0.0, r / np.sqrt(2.0), "plus")
+                         - (1.0 - r * r))) <= 1e-12
+    r = np.linspace(0.05, 0.56, 18)
+    sat = np.sqrt(3.0 - np.sqrt(9.0 - 3.0 * r * r))
+    up = polytope.tau_surface(r, 0.0, sat, "plus")
+    dn = polytope.tau_surface(r, 0.0, sat, "minus")
+    star = polytope.bound_curve("tau_star", r)
+    assert np.max(np.abs(up - dn)) <= 1e-10, "branches fail to meet at saturation"
+    assert np.max(np.abs(up - star)) <= 1e-10, "saturating fiber misses the lower bound"
+    assert np.max(np.abs(polytope.lambda3_star(r) - sat)) <= 1e-12
     assert abs(polytope.tau_surface(polytope.R_W, 1 / np.sqrt(3.0), 1 / np.sqrt(3.0),
                                     "minus")) <= 1e-12
     for r in (0.3, 0.45):
-        grid = np.linspace(0.0, polytope.lambda3_star(float(r)), 600)
-        vals = [polytope.tau_surface(float(r), 0.0, float(l3)) for l3 in grid]
-        star = polytope.bound_curve("tau_star", float(r))
-        assert abs(min(vals) - star) <= 0.02 * star, \
+        grid = np.linspace(0.0, polytope.lambda3_star(r), 600)
+        star = polytope.bound_curve("tau_star", r)
+        assert abs(polytope.tau_surface(r, 0.0, grid).min() - star) <= 0.02 * star, \
             "numerical minimum strays from the saturating curve"
-    worst = 0.0
-    for _ in range(50):
-        lam = qstate._draw_lambdas((0, 2, 3, 4), 1, rng)[0]
-        cf = canonical.CanonicalForm(lambdas=tuple(lam), phi=0.0, branch="plus")
-        s = canonical.reconstruct(cf)
-        rr = polytope.big_r(entanglement.bloch_triple(s))
-        tau = entanglement.tangle(s, check=False)
-        best = min(abs(polytope.tau_surface(rr, float(lam[2]), float(lam[3]), b) - tau)
-                   for b in ("plus", "minus"))
-        worst = max(worst, best)
+    lams = np.array([qstate._draw_lambdas((0, 2, 3, 4), 1, rng)[0] for _ in range(50)])
+    states = [canonical.reconstruct(canonical.CanonicalForm(
+        lambdas=tuple(lam), phi=0.0, branch="plus")) for lam in lams]
+    r, _, hdet = entanglement.invariants(np.array([s.amp for s in states]))
+    gaps = [np.abs(polytope.tau_surface(polytope.big_r(r), lams[:, 2], lams[:, 3], b)
+                   - 4.0 * np.abs(hdet)) for b in ("plus", "minus")]
+    worst = float(np.max(np.min(gaps, axis=0)))
     assert worst <= 1e-9, f"surface misses reconstructed states by {worst:.3e}"
     _expect(ComplexTau, polytope.tau_surface, 0.3, 1.0, 0.0)
     _expect(ValidationError, polytope.tau_surface, 0.3, 0.1, 0.1, "middle")
@@ -569,30 +535,19 @@ def _check_ansatz_approximation(seed: int) -> str:
     for kind in ("3b-12", "3b-23", "3b-13"):
         amps = qstate._sample_type_batch(kind, n, int(rng.integers(1 << 32)))
         r, _, hdet = entanglement.invariants(amps)
-        tau = 4.0 * np.abs(hdet)
-        for i in range(n):
-            bt = entanglement.BlochTriple(*map(float, r[i]))
-            if polytope.dist_to_diagonal(bt) >= 0.1:
-                continue
-            guess = polytope.ansatz_tau(bt, polytope.f_lowest_order(kind, bt))
-            near3b = max(near3b, abs(guess - float(tau[i])))
+        err = np.abs(polytope.ansatz_tau(r, polytope.f_lowest_order(kind, r))
+                     - 4.0 * np.abs(hdet))
+        near3b = max(near3b, float(err[polytope.dist_to_diagonal(r) < 0.1].max(initial=0.0)))
     assert near3b <= 0.02, f"near-diagonal 3b ansatz error {near3b:.3e}"
     near4b = 0.0
     for kind in ("4b-l2", "4b-l3"):
         amps = qstate._sample_type_batch(kind, n, int(rng.integers(1 << 32)))
         r, _, hdet = entanglement.invariants(amps)
         tau = 4.0 * np.abs(hdet)
-        sup, swp = [], []
-        for i in range(n):
-            bt = entanglement.BlochTriple(*map(float, r[i]))
-            e_sup = abs(polytope.ansatz_tau(
-                bt, polytope.f_lowest_order(kind, bt)) - float(tau[i]))
-            e_swp = abs(polytope.ansatz_tau(
-                bt, polytope.f_lowest_order(kind, bt, pairing="swapped")) - float(tau[i]))
-            sup.append(e_sup)
-            swp.append(e_swp)
-            if polytope.dist_to_diagonal(bt) < 0.05:
-                near4b = max(near4b, e_sup)
+        sup = np.abs(polytope.ansatz_tau(r, polytope.f_lowest_order(kind, r)) - tau)
+        swp = np.abs(polytope.ansatz_tau(
+            r, polytope.f_lowest_order(kind, r, pairing="swapped")) - tau)
+        near4b = max(near4b, float(sup[polytope.dist_to_diagonal(r) < 0.05].max(initial=0.0)))
         assert float(np.median(sup)) < float(np.median(swp)), \
             f"{kind}: swapped role assignment outperformed the default"
     assert near4b <= 0.1, f"near-diagonal 4b ansatz error {near4b:.3e}"

@@ -20,6 +20,7 @@ from triqent import (
     bound_curve,
     canonical_decompose,
     chains,
+    in_stratum,
     normalize,
     reconstruct,
     sample_type,
@@ -29,7 +30,6 @@ from triqent.canonical import _branch_form, det_zero_solutions
 from triqent.entanglement import invariants
 from triqent.qstate import _haar_amps, _sample_type_batch, slice_state
 from triqent.cli import main
-from triqent.verify import _strata_ok
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -111,10 +111,10 @@ def test_criterion_4_sampled_strata():
     bad = []
     for kind in ("1", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5"):
         seeds = base.integers(1 << 32, size=per_type)
-        for seed in seeds:
-            if not _strata_ok(kind, bloch_triple(sample_type(kind, int(seed)))):
-                bad.append((kind, int(seed)))
-                break
+        r = np.array([bloch_triple(sample_type(kind, int(seed))).as_array() for seed in seeds])
+        ok = in_stratum(kind, r)
+        if not ok.all():
+            bad.append((kind, int(seeds[np.argmin(ok)])))
     _report(4, not bad, f"stratum misses {bad}")
 
 
@@ -132,14 +132,14 @@ def test_criterion_5_bound_curves():
             if dev > 1e-10:
                 msgs.append(f"2b off the top curve by {dev:.3e}")
         elif kind in ("3b", "4b"):
-            lo = np.array([bound_curve("tau_star", x) for x in big])
+            lo = bound_curve("tau_star", big)
             hi = 1.0 - big ** 2 / 3.0
             if not np.all((tau >= lo - 0.02) & (tau <= hi + 1e-9)):
                 msgs.append(f"{kind} escapes the star/top band")
         else:
             inside = (big >= R_W) & (big <= R_STAR)
-            up = np.array([bound_curve("tau_up", x) for x in big[inside]])
-            down = np.array([bound_curve("tau_down", x) for x in big[inside]])
+            up = bound_curve("tau_up", big[inside])
+            down = bound_curve("tau_down", big[inside])
             gap = (tau[inside] > up + 0.02) & (tau[inside] < down - 0.02)
             if np.any(gap):
                 msgs.append(f"{kind} enters the forbidden band "

@@ -1,6 +1,8 @@
 """Four solvable rings: spectra, eigenstates, tangles, symmetries, sweeps."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,15 @@ def test_eigensystem_residuals_and_phase_convention():
         assert abs(lead.imag) <= 1e-12
         assert lead.real > 0.0
     assert np.all(np.diff(evals) >= -1e-12)
+
+
+@pytest.mark.parametrize("h", [np.full((8, 8), np.nan), np.diag(np.full(8, np.inf))],
+                         ids=["nan", "inf"])
+def test_eigensystem_refuses_non_finite_matrices(h):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            eigensystem(h)
 
 
 def test_merge_levels_sorts_and_fuses():

@@ -1,12 +1,18 @@
 """Bloch-norm geometry: regions, bound curves, the tangle surface, ansatz."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ghz, haar_state, ket, w_state
 from triqent import (
+    CURVE_KINDS,
     FACE_SIGNS,
+    REGION_KINDS,
     R_STAR,
     R_W,
     BlochTriple,
@@ -15,7 +21,9 @@ from triqent import (
     ComplexTau,
     OutOfDomain,
     Region,
+    TriqentError,
     UnknownRegion,
+    UnknownType,
     UnsupportedType,
     ValidationError,
     ansatz_tau,
@@ -26,6 +34,7 @@ from triqent import (
     canonical_decompose,
     dist_to_diagonal,
     f_lowest_order,
+    in_stratum,
     lambda3_star,
     membership,
     reconstruct,
@@ -326,3 +335,133 @@ def test_f_lowest_order_validation():
         f_lowest_order("5", bt)
     with pytest.raises(ValidationError):
         f_lowest_order("4b-l2", bt, pairing="dominant")
+
+
+# ---------------------------------------------------------------------------
+# batch calls and the error contract
+
+_REGIONS = [Region(k) for k in REGION_KINDS if k != "face"] + [
+    Region("face", signs=sg) for sg in FACE_SIGNS]
+_F_KINDS = ("3b-12", "3b-23", "3b-13", "4b-l2", "4b-l3")
+_STRATUM_KINDS = ("1", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5")
+_norm = st.one_of(st.sampled_from([0.0, 1.0, 1.0 / 3.0, 0.5]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _bloch_row(draw):
+    """A row in [0, 1]^3: free, on the diagonal, with an equal pair, or on a face."""
+    x, y, z = draw(_norm), draw(_norm), draw(_norm)
+    shape = draw(st.sampled_from(("free", "diagonal", "pair", "face")))
+    if shape == "diagonal":
+        return (x, x, x)
+    if shape == "pair":
+        return draw(st.sampled_from(((x, x, z), (x, z, x), (z, x, x))))
+    if shape == "face":
+        sa, sb, sc = draw(st.sampled_from(FACE_SIGNS))
+        return (x, y, min(max((sa * x - sb * y + 1.0) / sc, 0.0), 1.0))
+    return (x, y, z)
+
+
+def _same(batch, row_values):
+    assert np.array_equal(batch, np.array(row_values), equal_nan=True)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.lists(_bloch_row(), min_size=1, max_size=8))
+def test_array_calls_equal_their_stacked_one_row_calls(rows):
+    r = np.array(rows)
+    bts = [BlochTriple(*row) for row in rows]
+    _same(big_r(r), [big_r(bt) for bt in bts])
+    _same(dist_to_diagonal(r), [dist_to_diagonal(bt) for bt in bts])
+    for reg in _REGIONS:
+        _same(membership(r, reg), [membership(bt, reg) for bt in bts])
+    for kind in _STRATUM_KINDS:
+        _same(in_stratum(kind, r), [in_stratum(kind, bt) for bt in bts])
+    for kind in _F_KINDS:
+        f = f_lowest_order(kind, r)
+        _same(f, [f_lowest_order(kind, bt) for bt in bts])
+        _same(ansatz_tau(r, f), [ansatz_tau(bt, fi) for bt, fi in zip(bts, f)])
+    big = big_r(r)
+    for kind in CURVE_KINDS:
+        _same(bound_curve(kind, big), [bound_curve(kind, x) for x in big])
+    _same(lambda3_star(np.minimum(big, 1.0)), [lambda3_star(min(x, 1.0)) for x in big])
+    try:
+        surface = tau_surface(big, r[:, 0], r[:, 1], "minus")
+    except ComplexTau:
+        # the batch refuses exactly when some row does
+        with pytest.raises(ComplexTau):
+            for x, row in zip(big, rows):
+                tau_surface(x, row[0], row[1], "minus")
+    else:
+        _same(surface, [tau_surface(x, row[0], row[1], "minus") for x, row in zip(big, rows)])
+
+
+_ROW = np.array([[0.2, 0.3, 0.4], [0.5, 0.5, 0.5]])
+_CF = canonical_decompose(w_state())
+
+
+def _with_bad_row(bad):
+    rows = _ROW.copy()
+    rows[1, 2] = bad
+    return rows
+
+
+# (name, call with one bad value substituted); every public polytope function
+_BAD_VALUE_CALLS = [
+    ("big_r", lambda x: big_r(_with_bad_row(x))),
+    ("big_r/triple", lambda x: big_r(BlochTriple(0.1, x, 0.2))),
+    ("dist_to_diagonal", lambda x: dist_to_diagonal(_with_bad_row(x))),
+    ("membership", lambda x: membership(_with_bad_row(x), Region("bipyramid"))),
+    ("in_stratum", lambda x: in_stratum("3b", _with_bad_row(x))),
+    ("bound_curve", lambda x: bound_curve("tau_max", x)),
+    ("bound_curve/array", lambda x: bound_curve("tau_up", np.array([0.1, x]))),
+    ("BoundCurve.at", lambda x: BoundCurve("tau_down").at(x)),
+    ("lambda3_star", lambda x: lambda3_star(x)),
+    ("tau_surface/r", lambda x: tau_surface(x, 0.1, 0.1)),
+    ("tau_surface/l2", lambda x: tau_surface(0.5, x, 0.1)),
+    ("tau_surface/l3", lambda x: tau_surface(0.5, 0.1, np.array([0.1, x]))),
+    ("ansatz_tau/rows", lambda x: ansatz_tau(_with_bad_row(x), 1.0)),
+    ("ansatz_tau/f", lambda x: ansatz_tau(_ROW, np.array([1.0, x]))),
+    ("f_lowest_order", lambda x: f_lowest_order("4b-l2", _with_bad_row(x))),
+    ("big_r_from_cf/lambda", lambda x: big_r_from_cf(
+        CanonicalForm(lambdas=(x,) + _CF.lambdas[1:], phi=0.0, branch="plus"))),
+    ("big_r_from_cf/phi", lambda x: big_r_from_cf(
+        CanonicalForm(lambdas=_CF.lambdas, phi=x, branch="plus"))),
+]
+
+_BAD_SHAPE_CALLS = [
+    ("big_r/two-axis", lambda: big_r(np.zeros((4, 2)))),
+    ("big_r/scalar", lambda: big_r(0.5)),
+    ("dist_to_diagonal/ragged", lambda: dist_to_diagonal([[0.1, 0.2, 0.3], [0.1]])),
+    ("membership/four-axis", lambda: membership(np.zeros(4), Region("diagonal"))),
+    ("in_stratum/two-axis", lambda: in_stratum("5", np.zeros((3, 2)))),
+    ("ansatz_tau/f-shape", lambda: ansatz_tau(_ROW, np.ones(3))),
+    ("f_lowest_order/two-axis", lambda: f_lowest_order("3b-12", np.zeros(2))),
+    ("tau_surface/broadcast", lambda: tau_surface(np.zeros(2), np.zeros(3), 0.0)),
+    ("bound_curve/complex", lambda: bound_curve("tau_max", 0.5 + 0.1j)),
+    ("big_r/text", lambda: big_r(["a", "b", "c"])),
+]
+
+
+def _refuses(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TriqentError) as info:
+            call()
+    return info.value
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name,call", _BAD_VALUE_CALLS, ids=[n for n, _ in _BAD_VALUE_CALLS])
+def test_non_finite_input_raises_a_validation_error(name, call, bad):
+    assert isinstance(_refuses(lambda: call(bad)), ValidationError)
+
+
+@pytest.mark.parametrize("name,call", _BAD_SHAPE_CALLS, ids=[n for n, _ in _BAD_SHAPE_CALLS])
+def test_wrong_shapes_raise_a_validation_error(name, call):
+    assert isinstance(_refuses(call), ValidationError)
+
+
+def test_in_stratum_refuses_unknown_types():
+    with pytest.raises(UnknownType):
+        in_stratum("6", _ROW)
