@@ -11,6 +11,7 @@ branches exist), factoring the rank-1 slice, and stripping residual phases.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,16 +49,28 @@ TYPE_KINDS = (
 class CanonicalForm:
     """Canonical coefficients (l0..l4), phase phi, and branch metadata.
 
-    Invariants: sum of squared coefficients is 1 within 1e-12, phi in
-    [0, pi] and reported as 0 when l1 is below the zero tolerance. The
-    branch records which root of the singular-slice condition was used;
-    degenerate marks a collapsed (non-quadratic) condition.
+    Invariants, enforced on construction: five finite non-negative
+    coefficients whose squares sum to 1 within 1e-10, phi in [0, pi] (reported
+    as 0 when l1 is below the zero tolerance). The branch records which root
+    of the singular-slice condition was used; degenerate marks a collapsed
+    (non-quadratic) condition.
     """
 
     lambdas: tuple[float, float, float, float, float]
     phi: float
     branch: str
     degenerate: bool = False
+
+    def __post_init__(self):
+        lam = self.lambdas
+        # written so that NaN fails too
+        if len(lam) != 5 or not all(0.0 <= x < math.inf for x in lam):
+            raise ValidationError(f"need five finite non-negative coefficients, got {lam}")
+        total = math.fsum(x * x for x in lam)
+        if abs(total - 1.0) > 1e-10:
+            raise BadNormalization(f"sum of squared coefficients is {total}, not 1")
+        if not 0.0 <= self.phi <= math.pi:
+            raise ValidationError(f"phi must lie in [0, pi], got {self.phi}")
 
     def as_array(self) -> np.ndarray:
         return np.array(self.lambdas)
@@ -228,9 +241,6 @@ def canonical_decompose(s: PureState3) -> CanonicalForm:
 def reconstruct(cf: CanonicalForm) -> PureState3:
     """State with the canonical amplitude pattern of cf."""
     lam = np.asarray(cf.lambdas, dtype=float)
-    total = float(np.sum(lam * lam))
-    if abs(total - 1.0) > 1e-10:
-        raise BadNormalization(f"sum of squared coefficients is {total}, not 1")
     amp = np.zeros(8, dtype=complex)
     amp[0] = lam[0]
     amp[4] = lam[1] * np.exp(1j * cf.phi)

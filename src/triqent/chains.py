@@ -37,6 +37,17 @@ CROSSINGS = {
 
 GAP_TOL = 1e-9
 
+# number of levels in each model's closed_form_spectrum listing
+LEVEL_COUNT = {"tfim": 6, "xx": 6, "xxx": 3, "xzx": 6}
+
+# a coupling window per model that contains all of its CROSSINGS
+DELTA_RANGES = {
+    "tfim": (0.0, 2.5),
+    "xx": (0.0, 3.5),
+    "xxx": (-2.0, 2.0),
+    "xzx": (0.0, 2.5),
+}
+
 _I2 = np.eye(2, dtype=complex)
 _PAULI = {
     "I": _I2,
@@ -189,6 +200,7 @@ def _ket(index: int) -> np.ndarray:
 _SQRT3 = np.sqrt(3.0)
 _OMEGA = np.exp(2j * np.pi / 3)
 
+GHZ_KET = (_ket(0b000) + _ket(0b111)) / np.sqrt(2.0)
 W_KET = (_ket(0b001) + _ket(0b010) + _ket(0b100)) / _SQRT3
 X3W_KET = (_ket(0b110) + _ket(0b101) + _ket(0b011)) / _SQRT3
 WT1_KET = (_ket(0b001) + _OMEGA * _ket(0b010) + _OMEGA ** 2 * _ket(0b100)) / _SQRT3
@@ -328,7 +340,7 @@ def _nondeg_vector(name: str, n: int, d: float) -> np.ndarray | None:
 
 
 def _check_level(name: str, n) -> int:
-    count = {"tfim": 6, "xx": 6, "xxx": 3, "xzx": 6}[name]
+    count = LEVEL_COUNT[name]
     n = int(n)
     if not 0 <= n < count:
         raise ValidationError(f"{name} has levels 0..{count - 1}, got {n}")

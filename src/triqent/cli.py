@@ -18,8 +18,6 @@ import numpy as np
 from . import canonical, chains, entanglement, polytope, qstate, verify
 from .errors import NumericalError, TriqentError, ValidationError
 
-COARSE_TYPES = ("1", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5")
-
 ANALYZE_FIELDS = ("state", "r_a", "r_b", "r_c", "big_r",
                   "s_a", "s_b", "s_c", "c_ab", "c_ac", "c_bc", "tau")
 BOUNDS_FIELDS = ("big_r", *polytope.CURVE_KINDS)
@@ -206,7 +204,7 @@ def _cmd_bounds(args) -> tuple[str, int]:
 def _cmd_sample(args) -> tuple[str, int]:
     if args.n < 1:
         raise ValidationError(f"n must be >= 1, got {args.n}")
-    kinds = COARSE_TYPES if args.type == "all" else (args.type,)
+    kinds = polytope.COARSE_TYPES if args.type == "all" else (args.type,)
     rows = []
     for i, kind in enumerate(kinds):
         sub = int(np.random.default_rng([args.seed, i]).integers(1 << 32))

@@ -75,7 +75,8 @@ def entropy_from_norm(r: float, bits: bool = False) -> float:
     S = ((1+r)/2) log(2/(1+r)) + ((1-r)/2) log(2/(1-r)), natural log by
     default; pass bits=True for log base 2. The r = 1 endpoint is exact.
     """
-    if r < -1e-12 or r > 1.0 + 1e-12:
+    # written so that NaN fails too
+    if not -1e-12 <= r <= 1.0 + 1e-12:
         raise OutOfRange(f"Bloch norm {r} outside [0, 1]")
     r = min(max(float(r), 0.0), 1.0)
     p = 0.5 * (1.0 + r)

@@ -46,6 +46,15 @@ REGION_KINDS = (
 
 CURVE_KINDS = ("tau_max", "tau_star", "tau_up", "tau_down")
 
+# the coarse entanglement types, each with one stratum (see in_stratum)
+COARSE_TYPES = ("1", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5")
+
+
+def _check_tol(tol: float) -> None:
+    # written so that NaN fails too
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tolerance must be finite and non-negative, got {tol}")
+
 
 @dataclass(frozen=True)
 class Region:
@@ -58,6 +67,7 @@ class Region:
     def __post_init__(self):
         if self.kind not in REGION_KINDS:
             raise UnknownRegion(f"unknown region kind {self.kind!r}")
+        _check_tol(self.tol)
         if self.kind == "face":
             if self.signs is None or tuple(self.signs) not in FACE_SIGNS:
                 raise UnknownRegion(
@@ -127,7 +137,6 @@ def big_r_from_cf(cf: CanonicalForm) -> float:
     D = l1^2 l4^2 + l2^2 l3^2 - 2 l1 l2 l3 l4 cos(phi). Agrees with the
     norm of the reconstructed state's Bloch triple to machine precision.
     """
-    _real("canonical coefficients and phase", cf.lambdas, cf.phi)
     l0, l1, l2, l3, l4 = cf.lambdas
     d = l1 ** 2 * l4 ** 2 + l2 ** 2 * l3 ** 2 - 2.0 * l1 * l2 * l3 * l4 * np.cos(cf.phi)
     r2 = 3.0 - 4.0 * l0 ** 2 * (3.0 - 3.0 * l0 ** 2 - 3.0 * l1 ** 2 - l2 ** 2 - l3 ** 2) - 8.0 * d
@@ -183,6 +192,7 @@ _STRATA = {"2b": ("diagonal",), "3a": ("face",), "4a": ("upper-tetrahedron",),
 
 def in_stratum(kind: str, r, tol: float = 1e-9):
     """Whether each Bloch row lies in the stratum of a coarse type, within tol."""
+    _check_tol(tol)
     rows = _rows(r)
     if kind == "1":
         return _out(np.max(np.abs(rows - 1.0), axis=-1) <= tol)

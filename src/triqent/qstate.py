@@ -38,7 +38,7 @@ class PureState3:
     amp: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amp, dtype=complex).reshape(8).copy()
+        amp = _amps8(self.amp)
         n = float(np.linalg.norm(amp))
         # written so that a NaN norm (from NaN or inf amplitudes) fails too
         if not abs(n - 1.0) <= NORM_TOL:
@@ -69,11 +69,15 @@ class PureState3:
 
     @classmethod
     def from_json(cls, text: str) -> "PureState3":
-        pairs = json.loads(text)
-        if not isinstance(pairs, list) or len(pairs) != 8:
-            raise ValidationError("expected a JSON array of 8 [re, im] pairs")
-        raw = np.array([complex(p[0], p[1]) for p in pairs])
-        return normalize(raw)
+        try:
+            pairs = json.loads(text)
+            if isinstance(pairs, list) and len(pairs) == 8 and all(
+                    isinstance(p, list) and len(p) == 2
+                    and all(type(x) in (int, float) for x in p) for p in pairs):
+                return normalize([complex(re, im) for re, im in pairs])
+        except (ValueError, OverflowError) as exc:
+            raise ValidationError(f"could not parse a state: {exc}") from None
+        raise ValidationError("expected a JSON array of 8 [re, im] pairs of real numbers")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +111,17 @@ class SliceTensors:
     qubit: str
 
 
+def _amps8(raw) -> np.ndarray:
+    """raw as a new flat array of 8 complex amplitudes."""
+    try:
+        arr = np.array(raw, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("amplitudes must be complex numbers") from None
+    if arr.size != 8:
+        raise ValidationError(f"a state has 8 amplitudes, got {arr.size}")
+    return arr.reshape(8)
+
+
 def _phase_fix(amp: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the first significant amplitude is real >= 0."""
     for a in amp:
@@ -121,7 +136,7 @@ def normalize(raw) -> PureState3:
     Divides by the 2-norm and fixes the global phase so the first nonzero
     amplitude (lexicographic order) is real and non-negative.
     """
-    arr = np.array(raw, dtype=complex).reshape(8)
+    arr = _amps8(raw)
     big = float(np.abs(arr.view(float)).max())
     if not math.isfinite(big):
         raise ValidationError("amplitudes must be finite")

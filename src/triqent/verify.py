@@ -1,13 +1,19 @@
 """Self-checking battery: every library property, exercised at runtime.
 
-Each check is a named function registered in a module-level table. A check
-passes by returning a one-line summary and fails by raising AssertionError
-(or any library error). run_checks collects results without stopping at
-the first failure, so a single run reports the health of the whole stack.
+Each check is a named function registered in a module-level table, with the
+stream its random draws come from. A check takes a numpy Generator, passes
+by returning a one-line summary and fails by raising AssertionError (or any
+library error). run_checks builds each check's generator from the seed and
+collects results without stopping at the first failure, so a single run
+reports the health of the whole stack.
 
-Sample counts here are sized for an interactive run; the test suite drives
-the same properties at much larger counts. The geometry checks hand whole
-sample arrays to polytope, whose in_stratum is the one type-to-stratum map.
+A check that the acceptance battery runs at a larger size takes that size
+as a keyword whose default is the interactive size `triqent verify` runs.
+The acceptance battery calls the same functions (see check) with its own
+generators and the full Monte Carlo sizes: acceptance criteria 1-8 are
+these checks at full size. The geometry
+checks hand whole sample arrays to polytope, whose in_stratum is the one
+type-to-stratum map.
 """
 from __future__ import annotations
 
@@ -18,6 +24,7 @@ import numpy as np
 
 from . import canonical, chains, entanglement, polytope, qstate
 from .errors import (
+    BadNormalization,
     ComplexTau,
     CrossingPoint,
     NeedParams,
@@ -30,7 +37,8 @@ from .errors import (
     ZeroVector,
 )
 
-_REGISTRY: dict[str, Callable[[int], str]] = {}
+# name -> (stream, check); a check without a stream draws nothing
+_REGISTRY: dict[str, tuple[int | None, Callable[..., str]]] = {}
 
 
 @dataclass(frozen=True)
@@ -43,13 +51,17 @@ class CheckResult:
     seed: int
 
 
-def register(name: str):
-    """Decorator adding a check function to the battery under a fixed name."""
+def register(name: str, stream: int | None = None):
+    """Decorator adding a check function to the battery under a fixed name.
 
-    def wrap(fn: Callable[[int], str]) -> Callable[[int], str]:
+    run_checks calls a check with default_rng([seed, stream]), so its draws
+    do not depend on which other checks run.
+    """
+
+    def wrap(fn: Callable[..., str]) -> Callable[..., str]:
         if name in _REGISTRY:
             raise ValueError(f"duplicate check name {name!r}")
-        _REGISTRY[name] = fn
+        _REGISTRY[name] = (stream, fn)
         return fn
 
     return wrap
@@ -59,13 +71,22 @@ def check_names() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
+def check(name: str) -> Callable[..., str]:
+    """The check registered under name, to call with a Generator and sizes."""
+    if name not in _REGISTRY:
+        raise ValidationError(f"unknown check {name!r}")
+    return _REGISTRY[name][1]
+
+
 def run_checks(names: Iterable[str] | None = None, seed: int = 0) -> list[CheckResult]:
     """Run the requested checks (all by default) and collect the results.
 
     Failures are captured as CheckResult entries rather than raised, so the
-    battery always runs to completion; unknown names raise ValidationError
-    up front.
+    battery always runs to completion; unknown names and a seed that is not
+    a non-negative integer raise ValidationError up front.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     if names is None:
         picked = list(_REGISTRY)
     else:
@@ -75,8 +96,10 @@ def run_checks(names: Iterable[str] | None = None, seed: int = 0) -> list[CheckR
             raise ValidationError(f"unknown checks: {', '.join(unknown)}")
 
     def run_one(name: str) -> CheckResult:
+        stream, fn = _REGISTRY[name]
+        rng = np.random.default_rng(seed if stream is None else [seed, stream])
         try:
-            return CheckResult(name, True, _REGISTRY[name](seed), seed)
+            return CheckResult(name, True, fn(rng), seed)
         except AssertionError as exc:
             return CheckResult(name, False, str(exc) or "assertion failed", seed)
         except TriqentError as exc:
@@ -88,6 +111,10 @@ def run_checks(names: Iterable[str] | None = None, seed: int = 0) -> list[CheckR
 # ---------------------------------------------------------------------------
 # shared helpers
 
+_GHZ = qstate.PureState3(chains.GHZ_KET)
+_W = qstate.PureState3(chains.W_KET)
+
+
 def _state(*pairs: tuple[int, complex]) -> qstate.PureState3:
     vec = np.zeros(8, dtype=complex)
     for idx, val in pairs:
@@ -95,22 +122,14 @@ def _state(*pairs: tuple[int, complex]) -> qstate.PureState3:
     return qstate.normalize(vec)
 
 
-def _ghz() -> qstate.PureState3:
-    return _state((0, 1.0), (7, 1.0))
-
-
-def _w() -> qstate.PureState3:
-    return _state((1, 1.0), (2, 1.0), (4, 1.0))
-
-
 def _haar_state(rng: np.random.Generator) -> qstate.PureState3:
     return qstate.normalize(qstate._haar_amps(1, rng)[0])
 
 
-def _seven_invariants(s: qstate.PureState3) -> np.ndarray:
-    """(r_A, r_B, r_C, tau, C_AB, C_AC, C_BC) as one vector."""
-    r, c, hdet = s.invariants
-    return np.concatenate([r, [4.0 * abs(hdet)], c])
+def _seven_invariants(amps: np.ndarray) -> np.ndarray:
+    """(r_A, r_B, r_C, tau, C_AB, C_AC, C_BC) of each amplitude row, (n, 7)."""
+    r, c, hdet = entanglement.invariants(amps)
+    return np.column_stack([r, 4.0 * np.abs(hdet), c])
 
 
 def _expect(exc_type, fn, *args, **kwargs):
@@ -124,9 +143,8 @@ def _expect(exc_type, fn, *args, **kwargs):
 # ---------------------------------------------------------------------------
 # state representation and samplers
 
-@register("normalize-phase")
-def _check_normalize_phase(seed: int) -> str:
-    rng = np.random.default_rng([seed, 1])
+@register("normalize-phase", stream=1)
+def _check_normalize_phase(rng: np.random.Generator) -> str:
     spread = 0.0
     for _ in range(300):
         raw = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -143,26 +161,24 @@ def _check_normalize_phase(seed: int) -> str:
     return f"300 draws, representative spread {spread:.1e}"
 
 
-@register("lu-invariance")
-def _check_lu_invariance(seed: int) -> str:
-    rng = np.random.default_rng([seed, 2])
+@register("lu-invariance", stream=2)
+def _check_lu_invariance(rng: np.random.Generator) -> str:
     worst = 0.0
     for _ in range(120):
         s = _haar_state(rng)
-        before = _seven_invariants(s)
         t = s
         for q in qstate.QUBITS:
             u = qstate._haar_u2_batch(1, rng)[0]
             t = qstate.apply_local_unitary(t, qstate.LocalUnitary(u, q))
-        worst = max(worst, float(np.max(np.abs(_seven_invariants(t) - before))))
+        pair = _seven_invariants(np.array([s.amp, t.amp]))
+        worst = max(worst, float(np.max(np.abs(pair[1] - pair[0]))))
     assert worst <= 1e-10, f"local unitaries moved an invariant by {worst:.3e}"
     _expect(ValidationError, qstate.LocalUnitary, np.eye(2), "D")
     return f"120 scrambles, worst invariant shift {worst:.1e}"
 
 
-@register("slice-roundtrip")
-def _check_slice_roundtrip(seed: int) -> str:
-    rng = np.random.default_rng([seed, 3])
+@register("slice-roundtrip", stream=3)
+def _check_slice_roundtrip(rng: np.random.Generator) -> str:
     for _ in range(80):
         s = _haar_state(rng)
         for q in qstate.QUBITS:
@@ -170,13 +186,12 @@ def _check_slice_roundtrip(seed: int) -> str:
             assert st.T0.shape == (2, 2) and st.T1.shape == (2, 2)
             back = qstate.reassemble(st)
             assert np.array_equal(back.amp, s.amp), "slice round trip not bit-exact"
-    _expect(ValidationError, qstate.slice_state, _ghz(), "Q")
+    _expect(ValidationError, qstate.slice_state, _GHZ, "Q")
     return "80 states x 3 qubits, bit-exact"
 
 
-@register("haar-symmetry")
-def _check_haar_symmetry(seed: int) -> str:
-    rng = np.random.default_rng([seed, 4])
+@register("haar-symmetry", stream=4)
+def _check_haar_symmetry(rng: np.random.Generator) -> str:
     n = 4000
     r = entanglement.invariants(qstate._haar_amps(n, rng))[0]
     worst = 0.0
@@ -191,9 +206,8 @@ def _check_haar_symmetry(seed: int) -> str:
     return f"{n} states, worst qubit-mean gap {worst:.2e}"
 
 
-@register("type-sampler")
-def _check_type_sampler(seed: int) -> str:
-    rng = np.random.default_rng([seed, 5])
+@register("type-sampler", stream=5)
+def _check_type_sampler(rng: np.random.Generator) -> str:
     for t in canonical.TYPE_KINDS:
         for _ in range(4):
             sub = int(rng.integers(1 << 32))
@@ -212,9 +226,8 @@ def _check_type_sampler(seed: int) -> str:
 # ---------------------------------------------------------------------------
 # entanglement observables
 
-@register("marginal-spectrum")
-def _check_marginal_spectrum(seed: int) -> str:
-    rng = np.random.default_rng([seed, 6])
+@register("marginal-spectrum", stream=6)
+def _check_marginal_spectrum(rng: np.random.Generator) -> str:
     worst = 0.0
     for _ in range(100):
         s = _haar_state(rng)
@@ -233,7 +246,7 @@ def _check_marginal_spectrum(seed: int) -> str:
 
 
 @register("entropy-anchors")
-def _check_entropy_anchors(seed: int) -> str:
+def _check_entropy_anchors(rng: np.random.Generator) -> str:
     assert entanglement.entropy_from_norm(1.0) == 0.0
     assert abs(entanglement.entropy_from_norm(0.0) - np.log(2.0)) <= 1e-15
     assert abs(entanglement.entropy_from_norm(0.0, bits=True) - 1.0) <= 1e-15
@@ -242,15 +255,13 @@ def _check_entropy_anchors(seed: int) -> str:
     assert abs(entanglement.entropy_from_norm(0.6) - expect) <= 1e-15
     grid = np.array([entanglement.entropy_from_norm(r) for r in np.linspace(0.0, 1.0, 101)])
     assert np.all(np.diff(grid) < 0.0), "entropy is not strictly decreasing in r"
-    _expect(OutOfRange, entanglement.entropy_from_norm, 1.01)
-    _expect(OutOfRange, entanglement.entropy_from_norm, -0.01)
+    for bad in (1.01, -0.01, np.nan):
+        _expect(OutOfRange, entanglement.entropy_from_norm, bad)
     return "endpoints, midpoint, monotonicity, domain errors"
 
 
-@register("monogamy-pivots")
-def _check_monogamy_pivots(seed: int) -> str:
-    rng = np.random.default_rng([seed, 7])
-    n = 3000
+@register("monogamy-pivots", stream=7)
+def _check_monogamy_pivots(rng: np.random.Generator, n: int = 3000) -> str:
     r, c, hdet = entanglement.invariants(qstate._haar_amps(n, rng))
     tau = 4.0 * np.abs(hdet)
     cap2 = 1.0 - r ** 2
@@ -267,13 +278,14 @@ def _check_monogamy_pivots(seed: int) -> str:
     return f"{n} states, cap slack {slack:.1e}, three-pivot spread {dev:.1e}"
 
 
-@register("tangle-anchors")
-def _check_tangle_anchors(seed: int) -> str:
-    rng = np.random.default_rng([seed, 8])
-    ghz, w = _ghz(), _w()
-    assert abs(entanglement.tangle(ghz) - 1.0) <= 1e-12
-    assert abs(abs(entanglement.hyperdeterminant(ghz)) - 0.25) <= 1e-12
-    assert entanglement.tangle(w) <= 1e-12
+@register("tangle-anchors", stream=8)
+def _check_tangle_anchors(rng: np.random.Generator) -> str:
+    assert abs(entanglement.tangle(_GHZ) - 1.0) <= 1e-12
+    assert abs(abs(entanglement.hyperdeterminant(_GHZ)) - 0.25) <= 1e-12
+    assert entanglement.tangle(_W) <= 1e-12
+    assert float(np.max(np.abs(_GHZ.invariants[0]))) <= 1e-12, "GHZ Bloch norms are not 0"
+    assert float(np.max(np.abs(_W.invariants[0] - 1.0 / 3.0))) <= 1e-12, \
+        "W Bloch norms are not 1/3"
     assert entanglement.tangle(_state((3, 1.0), (5, 1.0), (6, 1.0))) <= 1e-12
     for idx in (3, 5, 6):  # pair Bell states against the third qubit
         assert entanglement.tangle(_state((0, 1.0), (idx, 1.0))) <= 1e-12
@@ -286,9 +298,8 @@ def _check_tangle_anchors(seed: int) -> str:
     return f"anchors exact; 200 Haar tangles in [{lo:.3f}, {hi:.3f}]"
 
 
-@register("concurrence-routes")
-def _check_concurrence_routes(seed: int) -> str:
-    rng = np.random.default_rng([seed, 9])
+@register("concurrence-routes", stream=9)
+def _check_concurrence_routes(rng: np.random.Generator) -> str:
 
     def eig_route(s: qstate.PureState3, pair: str) -> float:
         rho = entanglement._pair_rho(s, pair)
@@ -302,23 +313,21 @@ def _check_concurrence_routes(seed: int) -> str:
         for pair in entanglement.PAIRS:
             worst = max(worst, abs(entanglement.concurrence_pair(s, pair) - eig_route(s, pair)))
     assert worst <= 1e-7, f"concurrence routes disagree by {worst:.3e}"
-    w = _w()
     for pair in entanglement.PAIRS:
-        assert abs(entanglement.concurrence_pair(w, pair) - 2.0 / 3.0) <= 1e-12
+        assert abs(entanglement.concurrence_pair(_W, pair) - 2.0 / 3.0) <= 1e-12
     split = _state((0, 1.0), (3, 1.0))  # qubit A separated, B and C in a Bell pair
     assert abs(entanglement.concurrence_pair(split, "BC") - 1.0) <= 1e-12
     assert entanglement.concurrence_pair(split, "AB") <= 1e-12
     assert entanglement.concurrence_pair(split, "AC") <= 1e-12
-    _expect(ValidationError, entanglement.concurrence_pair, w, "CA")
+    _expect(ValidationError, entanglement.concurrence_pair, _W, "CA")
     return f"200 states x 3 pairs, route gap {worst:.1e}"
 
 
 # ---------------------------------------------------------------------------
 # canonical decomposition
 
-@register("cd-structure")
-def _check_cd_structure(seed: int) -> str:
-    rng = np.random.default_rng([seed, 10])
+@register("cd-structure", stream=10)
+def _check_cd_structure(rng: np.random.Generator) -> str:
     worst_det = 0.0
     for _ in range(300):
         s = _haar_state(rng)
@@ -344,17 +353,14 @@ def _check_cd_structure(seed: int) -> str:
     return f"300 states, det residual {worst_det:.1e}"
 
 
-@register("cd-roundtrip")
-def _check_cd_roundtrip(seed: int) -> str:
-    rng = np.random.default_rng([seed, 11])
-    worst = 0.0
+@register("cd-roundtrip", stream=11)
+def _check_cd_roundtrip(rng: np.random.Generator, n: int = 800) -> str:
+    states = [qstate.normalize(a) for a in qstate._haar_amps(n, rng)]
+    back = [canonical.reconstruct(canonical.canonical_decompose(s)).amp for s in states]
+    worst = float(np.max(np.abs(_seven_invariants(np.array(back))
+                                - _seven_invariants(np.array([s.amp for s in states])))))
     worst_branch = 0.0
-    for _ in range(800):
-        s = _haar_state(rng)
-        cf = canonical.canonical_decompose(s)
-        back = canonical.reconstruct(cf)
-        worst = max(worst, float(np.max(np.abs(
-            _seven_invariants(back) - _seven_invariants(s)))))
+    for s in states:
         bz = canonical.det_zero_solutions(qstate.slice_state(s, "A"))
         lam_p = canonical._branch_form(s.tensor, bz.plus)[0]
         lam_m = canonical._branch_form(s.tensor, bz.minus)[0]
@@ -362,15 +368,15 @@ def _check_cd_roundtrip(seed: int) -> str:
             4.0 * (lam_p[0] * lam_p[4]) ** 2 - 4.0 * (lam_m[0] * lam_m[4]) ** 2))
     assert worst <= 1e-9, f"round trip moved an invariant by {worst:.3e}"
     assert worst_branch <= 1e-10, f"branch tangles split by {worst_branch:.3e}"
-    return f"800 states, invariant spread {worst:.1e}, branch split {worst_branch:.1e}"
+    return f"{n} states, invariant spread {worst:.1e}, branch split {worst_branch:.1e}"
 
 
 @register("cd-anchors")
-def _check_cd_anchors(seed: int) -> str:
+def _check_cd_anchors(rng: np.random.Generator) -> str:
     s2, s3 = 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(3.0)
     cases = [
-        (_ghz(), (s2, 0.0, 0.0, 0.0, s2), "GHZ", "2b"),
-        (_w(), (s3, 0.0, s3, s3, 0.0), "W", "3a"),
+        (_GHZ, (s2, 0.0, 0.0, 0.0, s2), "GHZ", "2b"),
+        (_W, (s3, 0.0, s3, s3, 0.0), "W", "3a"),
         (_state((0, 1.0)), (1.0, 0.0, 0.0, 0.0, 0.0), "A-B-C", "1"),
         (_state((7, 1.0)), (1.0, 0.0, 0.0, 0.0, 0.0), "A-B-C", "1"),
         (_state((0, 1.0), (3, 1.0)), (0.0, s2, 0.0, 0.0, s2), "A-BC", "2a"),
@@ -385,28 +391,31 @@ def _check_cd_anchors(seed: int) -> str:
         lab = canonical.classify(s)
         assert (lab.slocc, lab.kind) == (slocc, kind), \
             f"expected ({slocc}, {kind}), got ({lab.slocc}, {lab.kind})"
+    _expect(BadNormalization, canonical.CanonicalForm, (5.0, 0.0, 0.0, 0.0, 0.0), 0.0, "plus")
     return f"{len(cases)} anchor states, coefficients and labels exact"
 
 
 # ---------------------------------------------------------------------------
 # polytope geometry
 
-@register("strata-membership")
-def _check_strata_membership(seed: int) -> str:
-    rng = np.random.default_rng([seed, 12])
-    n = 120
-    for kind in ("1", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5"):
-        amps = qstate._sample_type_batch(kind, n, int(rng.integers(1 << 32)))
-        r = entanglement.invariants(amps)[0]
+@register("strata-membership", stream=12)
+def _check_strata_membership(rng: np.random.Generator, n: int = 120, draws: int = 4) -> str:
+    # the sample_type seeds come first, one block per type, so they do not
+    # depend on the batch size n
+    seeds = [rng.integers(1 << 32, size=draws) for _ in polytope.COARSE_TYPES]
+    for kind, kind_seeds in zip(polytope.COARSE_TYPES, seeds):
+        drawn = [qstate.sample_type(kind, int(sd)).invariants[0] for sd in kind_seeds]
+        batch = entanglement.invariants(qstate._sample_type_batch(kind, n, rng))[0]
+        r = np.concatenate([batch, np.reshape(drawn, (-1, 3))])
         ok = polytope.in_stratum(kind, r)
         assert ok.all(), \
             f"type {kind} sample left its stratum at r = {tuple(r[np.argmin(ok)])}"
-    return f"9 types x {n} samples inside their strata"
+    return (f"{len(seeds)} types x ({n} batch rows + {draws} sample_type draws) "
+            "inside their strata")
 
 
-@register("bipyramid-membership")
-def _check_bipyramid_membership(seed: int) -> str:
-    rng = np.random.default_rng([seed, 13])
+@register("bipyramid-membership", stream=13)
+def _check_bipyramid_membership(rng: np.random.Generator) -> str:
     n = 3000
     r = entanglement.invariants(qstate._haar_amps(n, rng))[0]
     reg = polytope.Region("bipyramid", tol=1e-9)
@@ -415,28 +424,29 @@ def _check_bipyramid_membership(seed: int) -> str:
     assert not polytope.membership(entanglement.BlochTriple(0.9, 0.9, 0.05), reg)
     assert polytope.membership(entanglement.BlochTriple(1 / 3, 1 / 3, 1 / 3),
                                polytope.Region("diagonal"))
-    w_bt = entanglement.bloch_triple(_w())
+    w_bt = entanglement.bloch_triple(_W)
     assert polytope.membership(w_bt, polytope.Region("face", signs=(-1, 1, 1)))
     _expect(TriqentError, polytope.Region, "sphere")
+    for tol in (np.nan, np.inf, -1.0):
+        _expect(ValidationError, polytope.Region, "bipyramid", tol)
     return f"{n} Haar triples contained; boundary anchors agree"
 
 
-@register("master-r2")
-def _check_master_r2(seed: int) -> str:
-    rng = np.random.default_rng([seed, 14])
+@register("master-r2", stream=14)
+def _check_master_r2(rng: np.random.Generator) -> str:
     states = [_haar_state(rng) for _ in range(500)]
     direct = polytope.big_r(np.array([s.invariants[0] for s in states]))
     from_cf = [polytope.big_r_from_cf(canonical.canonical_decompose(s)) for s in states]
     worst = float(np.max(np.abs(direct - from_cf)))
     assert worst <= 1e-9, f"R from coefficients drifts from geometry by {worst:.3e}"
-    assert polytope.big_r(entanglement.bloch_triple(_ghz())) <= 1e-12
+    assert polytope.big_r(entanglement.bloch_triple(_GHZ)) <= 1e-12
     assert abs(polytope.big_r(entanglement.bloch_triple(_state((0, 1.0)))) - np.sqrt(3.0)) <= 1e-12
-    assert abs(polytope.big_r(entanglement.bloch_triple(_w())) - polytope.R_W) <= 1e-12
+    assert abs(polytope.big_r(entanglement.bloch_triple(_W)) - polytope.R_W) <= 1e-12
     return f"500 states, route gap {worst:.1e}"
 
 
-@register("bound-curves")
-def _check_bound_curves(seed: int) -> str:
+@register("bound-curves", stream=23)
+def _check_bound_curves(rng: np.random.Generator, n: int = 500) -> str:
     assert abs(polytope.bound_curve("tau_down", polytope.R_W)) <= 1e-12
     assert abs(polytope.bound_curve("tau_down", polytope.R_STAR) - 0.25) <= 1e-12
     assert abs(polytope.bound_curve("tau_up", polytope.R_STAR) - 12.0 / 49.0) <= 1e-12
@@ -453,12 +463,32 @@ def _check_bound_curves(seed: int) -> str:
     assert polytope.BoundCurve("tau_max").at(0.5) == polytope.bound_curve("tau_max", 0.5)
     _expect(OutOfDomain, polytope.bound_curve, "tau_max", 2.0)
     _expect(ValidationError, polytope.bound_curve, "tau_side", 0.5)
-    return "endpoints, domains, and band ordering hold"
+    # sampled types against their curves: 2b on tau_max, 3b and 4b between
+    # tau_star and tau_max, 4c and 5 outside the band between tau_up and
+    # tau_down; the 0.02 slack covers 3b tangles that fall up to 6e-3 below
+    # tau_star near its crossover
+    for kind in ("2b", "3b", "4b", "4c", "5"):
+        amps = qstate._sample_type_batch(kind, n, int(rng.integers(1 << 32)))
+        r, _, hdet = entanglement.invariants(amps)
+        big, tau = polytope.big_r(r), 4.0 * np.abs(hdet)
+        top = polytope.bound_curve("tau_max", big)
+        if kind == "2b":
+            dev = float(np.max(np.abs(tau - top)))
+            assert dev <= 1e-10, f"2b off the top curve by {dev:.3e}"
+        elif kind in ("3b", "4b"):
+            out = (tau < polytope.bound_curve("tau_star", big) - 0.02) | (tau > top + 1e-9)
+            assert not out.any(), f"{kind} escapes the star/top band {int(out.sum())} times"
+        else:
+            inside = (big >= polytope.R_W) & (big <= polytope.R_STAR)
+            up = polytope.bound_curve("tau_up", big[inside])
+            down = polytope.bound_curve("tau_down", big[inside])
+            gap = (tau[inside] > up + 0.02) & (tau[inside] < down - 0.02)
+            assert not gap.any(), f"{kind} enters the forbidden band {int(gap.sum())} times"
+    return f"endpoints, domains, band ordering; 5 types x {n} samples in their bands"
 
 
-@register("tau-surface")
-def _check_tau_surface(seed: int) -> str:
-    rng = np.random.default_rng([seed, 15])
+@register("tau-surface", stream=15)
+def _check_tau_surface(rng: np.random.Generator) -> str:
     r = np.linspace(0.0, 1.4, 29)
     for branch in ("plus", "minus"):
         assert np.max(np.abs(polytope.tau_surface(r, 0.0, 0.0, branch)
@@ -497,10 +527,8 @@ def _check_tau_surface(seed: int) -> str:
     return f"fibration identities hold; state route gap {worst:.1e}"
 
 
-@register("ansatz-identities")
-def _check_ansatz_identities(seed: int) -> str:
-    rng = np.random.default_rng([seed, 16])
-    n = 1500
+@register("ansatz-identities", stream=16)
+def _check_ansatz_identities(rng: np.random.Generator, n: int = 1500) -> str:
     worst = 0.0
     plans = {
         "3b-12": lambda r: r[:, 2] ** 2,
@@ -527,9 +555,8 @@ def _check_ansatz_identities(seed: int) -> str:
     return f"5 patterns x {n} samples, worst residual {worst:.1e}"
 
 
-@register("ansatz-approximation")
-def _check_ansatz_approximation(seed: int) -> str:
-    rng = np.random.default_rng([seed, 17])
+@register("ansatz-approximation", stream=17)
+def _check_ansatz_approximation(rng: np.random.Generator) -> str:
     n = 1500
     near3b = 0.0
     for kind in ("3b-12", "3b-23", "3b-13"):
@@ -562,37 +589,34 @@ def _check_ansatz_approximation(seed: int) -> str:
 # ---------------------------------------------------------------------------
 # spin chains
 
-_CHAIN_GRIDS = {
-    "tfim": np.linspace(0.0, 2.5, 21),
-    "xx": np.linspace(0.0, 3.5, 21),
-    "xxx": np.linspace(-2.0, 2.0, 21),
-    "xzx": np.linspace(0.0, 2.5, 21),
-}
-
-_LEVEL_COUNT = {"tfim": 6, "xx": 6, "xxx": 3, "xzx": 6}
+def _chain_grid(name: str, points: int) -> np.ndarray:
+    return np.linspace(*chains.DELTA_RANGES[name], points)
 
 
 def _level_states(name: str, n: int, d: float,
                   rng: np.random.Generator) -> list[tuple]:
     """(state, params) members of a level: one for non-degenerate levels,
-    a few random members for degenerate ones."""
-    key = (name, n)
-    if key in chains._DEG_FAMILY:
-        size = len(chains._DEG_FAMILY[key][0])
-        out = []
-        for _ in range(3):
-            params = chains._random_params(size, rng)
-            out.append((chains.closed_form_eigenstate(name, n, d, params), params))
-        return out
-    return [(chains.closed_form_eigenstate(name, n, d), None)]
+    three random members for degenerate ones and for the fused subspace of
+    the transverse-field chain at delta = 1."""
+    if chains._at_fusion(name, n, d):
+        size = 3
+    elif (name, n) in chains._DEG_FAMILY:
+        size = len(chains._DEG_FAMILY[(name, n)][0])
+    else:
+        return [(chains.closed_form_eigenstate(name, n, d), None)]
+    out = []
+    for _ in range(3):
+        params = chains._random_params(size, rng)
+        out.append((chains.closed_form_eigenstate(name, n, d, params), params))
+    return out
 
 
 @register("chain-spectra")
-def _check_chain_spectra(seed: int) -> str:
+def _check_chain_spectra(rng: np.random.Generator, points: int = 21) -> str:
     worst = 0.0
     worst_res = 0.0
-    for name, grid in _CHAIN_GRIDS.items():
-        for d in grid:
+    for name in chains.MODELS:
+        for d in _chain_grid(name, points):
             h = chains.build_hamiltonian(name, float(d))
             evals, evecs = chains.eigensystem(h)
             closed = chains.closed_form_spectrum(name, float(d))
@@ -613,20 +637,17 @@ def _check_chain_spectra(seed: int) -> str:
             gaps = np.diff(closed)
             assert float(gaps.min()) <= chains.GAP_TOL, \
                 f"{name} has no coincidence at delta = {dc}"
-    return f"4 models x 21 points, spectrum gap {worst:.1e}, residual {worst_res:.1e}"
+    return f"4 models x {points} points, spectrum gap {worst:.1e}, residual {worst_res:.1e}"
 
 
-@register("chain-eigenstates")
-def _check_chain_eigenstates(seed: int) -> str:
-    rng = np.random.default_rng([seed, 18])
+@register("chain-eigenstates", stream=18)
+def _check_chain_eigenstates(rng: np.random.Generator, points: int = 5) -> str:
     worst = 0.0
     for name in chains.MODELS:
-        for d in _CHAIN_GRIDS[name][::5]:
-            if chains._at_fusion(name, 2, float(d)):
-                continue
+        for d in _chain_grid(name, points):
             h = chains.build_hamiltonian(name, float(d))
             closed = chains.closed_form_spectrum(name, float(d))
-            for n in range(_LEVEL_COUNT[name]):
+            for n in range(chains.LEVEL_COUNT[name]):
                 e = closed[n][0]
                 for s, _ in _level_states(name, n, float(d), rng):
                     worst = max(worst, float(np.linalg.norm(h @ s.amp - e * s.amp)))
@@ -644,44 +665,43 @@ def _check_chain_eigenstates(seed: int) -> str:
     _expect(NeedParams, chains.closed_form_eigenstate, "xxx", 0, 1.0)
     _expect(ValidationError, chains.closed_form_eigenstate,
             "tfim", 0, 0.5, chains._random_params(2, rng))
-    return f"all levels, residual {worst:.1e}; merged subspace {fused_res:.1e}"
+    return f"all levels at {points} points, residual {worst:.1e}; merged subspace {fused_res:.1e}"
 
 
-@register("chain-tangles")
-def _check_chain_tangles(seed: int) -> str:
-    rng = np.random.default_rng([seed, 19])
+@register("chain-tangles", stream=19)
+def _check_chain_tangles(rng: np.random.Generator, points: int = 7, fused: int = 6) -> str:
     worst = 0.0
     for name in chains.MODELS:
-        for d in _CHAIN_GRIDS[name][::3]:
-            if chains._at_fusion(name, 2, float(d)):
-                continue
-            for n in range(_LEVEL_COUNT[name]):
-                for s, params in _level_states(name, n, float(d), rng):
-                    closed = chains.closed_form_tangle(name, n, float(d), params)
-                    worst = max(worst, abs(closed - entanglement.tangle(s)))
+        for d in _chain_grid(name, points):
+            # one invariants call and monogamy cross-check per grid point
+            closed, amps = zip(*[
+                (chains.closed_form_tangle(name, n, float(d), params), s.amp)
+                for n in range(chains.LEVEL_COUNT[name])
+                for s, params in _level_states(name, n, float(d), rng)])
+            r, c, hdet = entanglement.invariants(np.array(amps))
+            tau = 4.0 * np.abs(hdet)
+            entanglement.check_monogamy(r, c, tau)
+            worst = max(worst, float(np.max(np.abs(np.array(closed) - tau))))
     assert worst <= 1e-8, f"closed tangles drift from 4|Hdet| by {worst:.3e}"
     anchor = chains.closed_form_tangle("xzx", 1, 0.0)
     assert abs(anchor - 1.0 / 3.0) <= 1e-12, \
         f"cluster-point single-excitation tangle is {anchor}, not 1/3"
     fused_worst = 0.0
-    for _ in range(6):
+    for _ in range(fused):
         params = chains._random_params(3, rng)
         s = chains.closed_form_eigenstate("tfim", 2, 1.0, params)
         fused_worst = max(fused_worst, abs(
             chains.closed_form_tangle("tfim", 2, 1.0, params) - entanglement.tangle(s)))
-    raw = np.exp(2j * np.pi * np.asarray([0.13, 0.61])) * np.array([0.6, 0.8])
-    zeroed = chains.SuperpositionParams(
-        alpha=complex(raw[0] * np.abs(raw[1]) / raw[1]), beta=float(np.abs(raw[1])),
-        gamma=0j)
-    assert chains.closed_form_tangle("tfim", 2, 1.0, zeroed) <= 1e-12, \
-        "members without the even component must be tangle-free"
     assert fused_worst <= 1e-9, f"merged-subspace tangle off by {fused_worst:.3e}"
-    return f"grid worst {worst:.1e}; merged subspace {fused_worst:.1e}"
+    for th in (0.0, 1.1, 2.3, 4.0):
+        zeroed = chains.SuperpositionParams(alpha=0.6 * np.exp(1j * th), beta=0.8, gamma=0j)
+        assert chains.closed_form_tangle("tfim", 2, 1.0, zeroed) <= 1e-12, \
+            "members without the even component must be tangle-free"
+    return f"{points}-point grids, worst {worst:.1e}; {fused} merged members {fused_worst:.1e}"
 
 
-@register("chain-bloch-families")
-def _check_chain_bloch_families(seed: int) -> str:
-    rng = np.random.default_rng([seed, 20])
+@register("chain-bloch-families", stream=20)
+def _check_chain_bloch_families(rng: np.random.Generator) -> str:
     worst = 0.0
     for (name, n) in chains._DEG_FAMILY:
         if (name, n) == ("xxx", 2):
@@ -700,12 +720,11 @@ def _check_chain_bloch_families(seed: int) -> str:
     return f"8 families x 4 members, worst gap {worst:.1e}"
 
 
-@register("symmetry-labels")
-def _check_symmetry_labels(seed: int) -> str:
-    rng = np.random.default_rng([seed, 21])
-    lab = chains.symmetry_labels(_w())
+@register("symmetry-labels", stream=21)
+def _check_symmetry_labels(rng: np.random.Generator) -> str:
+    lab = chains.symmetry_labels(_W)
     assert (lab.k, lab.m_z, lab.zflip) == (0, 1, -1), f"W labels {lab}"
-    lab = chains.symmetry_labels(_ghz())
+    lab = chains.symmetry_labels(_GHZ)
     assert (lab.k, lab.p, lab.refl) == (0, 1, 1) and lab.m_z is None, f"GHZ labels {lab}"
     for ket, kk, mm in ((chains.WT1_KET, 1, 1), (chains.WT2_KET, 2, 1),
                         (chains.X3WT1_KET, 1, -1), (chains.X3WT2_KET, 2, -1)):
@@ -722,10 +741,10 @@ def _check_symmetry_labels(seed: int) -> str:
     return "momentum, parity, and magnetization anchors agree"
 
 
-@register("sweep-determinism")
-def _check_sweep_determinism(seed: int) -> str:
-    sub = int(np.random.default_rng([seed, 22]).integers(1 << 32))
-    grid = [0.0, 0.5, 1.0, 1.7]
+@register("sweep-determinism", stream=22)
+def _check_sweep_determinism(rng: np.random.Generator, points: int = 5) -> str:
+    sub = int(rng.integers(1 << 32))
+    grid = np.round(np.linspace(0.0, 2.0, points), 10).tolist()
     first = chains.sweep("tfim", grid, params_policy="mc", seed=sub)
     again = chains.sweep("tfim", grid, params_policy="mc", seed=sub)
     assert first == again, "same-seed sweeps differ"
@@ -743,28 +762,29 @@ def _check_sweep_determinism(seed: int) -> str:
     assert len(pert) == 16, "perturbed sweep should emit 8 rows per point"
     _expect(ValidationError, chains.sweep, "tfim", [0.5, 0.5])
     _expect(ValidationError, chains.sweep, "tfim", [0.5], params_policy="latin")
-    return f"{len(first)} rows reproducible across runs"
+    return f"{len(first)} rows over {points} points reproducible across runs"
 
 
 @register("perturbation-probe")
-def _check_perturbation_probe(seed: int) -> str:
+def _check_perturbation_probe(rng: np.random.Generator) -> str:
     xi = 1e-3
-    z0 = chains.pauli_string("ZII")
+    probe = xi * chains.pauli_string("ZII")
     worst_deg = 0.0
-    for name, d in (("xx", 0.8), ("xxx", 0.7)):
-        _, evecs = chains.eigensystem(chains.build_hamiltonian(name, d) + xi * z0)
-        for j in range(8):
-            worst_deg = max(worst_deg, entanglement.tangle(qstate.PureState3(evecs[:, j])))
+    worst_shift = 0.0
+    for d in (0.6, 0.7, 0.75, 0.8):
+        for name in ("xx", "xxx"):
+            _, evecs = chains.eigensystem(chains.build_hamiltonian(name, d) + probe)
+            for j in range(8):
+                worst_deg = max(worst_deg, entanglement.tangle(qstate.PureState3(evecs[:, j])))
+        for name, levels in (("tfim", (0, 1, 2, 5)), ("xzx", (0, 1, 4, 5))):
+            ep, vp = chains.eigensystem(chains.build_hamiltonian(name, d) + probe)
+            closed = chains.closed_form_spectrum(name, d)
+            for n in levels:
+                jp = int(np.argmin(np.abs(ep - closed[n][0])))
+                tp = entanglement.tangle(qstate.PureState3(vp[:, jp]))
+                worst_shift = max(worst_shift, abs(tp - chains.closed_form_tangle(name, n, d)))
     assert worst_deg < 1e-2, \
         f"probe-selected members of degenerate levels reach tangle {worst_deg:.3e}"
-    worst_shift = 0.0
-    for name, d, levels in (("tfim", 0.6, (0, 1, 2, 5)), ("xzx", 0.6, (0, 1, 4, 5))):
-        ep, vp = chains.eigensystem(chains.build_hamiltonian(name, d) + xi * z0)
-        closed = chains.closed_form_spectrum(name, d)
-        for n in levels:
-            jp = int(np.argmin(np.abs(ep - closed[n][0])))
-            tp = entanglement.tangle(qstate.PureState3(vp[:, jp]))
-            worst_shift = max(worst_shift, abs(tp - chains.closed_form_tangle(name, n, d)))
     assert worst_shift <= 10.0 * xi, \
         f"non-degenerate tangles moved by {worst_shift:.3e} under a {xi} probe"
     return f"degenerate members at {worst_deg:.1e}; non-degenerate shifts {worst_shift:.1e}"

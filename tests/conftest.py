@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from triqent import PureState3, normalize
+from triqent import GHZ_KET, W_KET, PureState3, normalize
 from triqent.qstate import _haar_amps
 
 
@@ -16,11 +16,11 @@ def ket(*pairs: tuple[int, complex]) -> PureState3:
 
 
 def ghz() -> PureState3:
-    return ket((0, 1.0), (7, 1.0))
+    return PureState3(GHZ_KET)
 
 
 def w_state() -> PureState3:
-    return ket((1, 1.0), (2, 1.0), (4, 1.0))
+    return PureState3(W_KET)
 
 
 def haar_state(rng: np.random.Generator) -> PureState3:

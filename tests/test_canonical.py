@@ -163,9 +163,8 @@ def test_classify_tolerance_validation():
 
 
 def test_reconstruct_rejects_unnormalized_coefficients():
-    bad = CanonicalForm(lambdas=(1.0, 0.0, 0.0, 0.0, 1.0), phi=0.0, branch="plus")
     with pytest.raises(BadNormalization):
-        reconstruct(bad)
+        reconstruct(CanonicalForm(lambdas=(1.0, 0.0, 0.0, 0.0, 1.0), phi=0.0, branch="plus"))
 
 
 def test_decompose_handles_degenerate_slice_pencils():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from triqent import chains
-from triqent.cli import COARSE_TYPES, main
+from triqent.cli import main
+from triqent.polytope import COARSE_TYPES
 
 
 def run(capsys, *argv):
@@ -93,9 +94,16 @@ def test_unknown_state_is_a_usage_error(capsys):
     assert err.startswith("error:ValidationError:")
 
 
-def test_bad_state_file_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
+    "[1, 2",
+    "[1, 0, 0, 0, 0, 0, 0, 1]",
+    "[[1], [0], [0], [0], [0], [0], [0], [0]]",
+    "[[1%s, 0]" % ("0" * 400) + ", [0, 0]" * 7 + "]",
+    '[["1", 0]' + ", [0, 0]" * 7 + "]",
+], ids=["truncated", "bare-numbers", "one-element-pairs", "huge-integer", "string"])
+def test_bad_state_file_is_a_usage_error(tmp_path, capsys, text):
     path = tmp_path / "broken.json"
-    path.write_text("[1, 2")
+    path.write_text(text)
     code, _, err = run(capsys, "classify", "--state", str(path))
     assert code == 2
     assert "ValidationError" in err

@@ -63,6 +63,8 @@ def test_entropy_domain_errors():
         entropy_from_norm(1.01)
     with pytest.raises(OutOfRange):
         entropy_from_norm(-0.01)
+    with pytest.raises(OutOfRange):
+        entropy_from_norm(np.nan)
 
 
 def test_bloch_anchors():

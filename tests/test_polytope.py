@@ -412,7 +412,11 @@ _BAD_VALUE_CALLS = [
     ("big_r/triple", lambda x: big_r(BlochTriple(0.1, x, 0.2))),
     ("dist_to_diagonal", lambda x: dist_to_diagonal(_with_bad_row(x))),
     ("membership", lambda x: membership(_with_bad_row(x), Region("bipyramid"))),
+    ("Region.tol", lambda x: membership(_ROW, Region("bipyramid", tol=x))),
+    # min(x, -1.0) is -1.0 for x = inf: a finite negative tolerance
+    ("Region.tol/negative", lambda x: Region("diagonal", tol=min(x, -1.0))),
     ("in_stratum", lambda x: in_stratum("3b", _with_bad_row(x))),
+    ("in_stratum/tol", lambda x: in_stratum("2a", _ROW, tol=x)),
     ("bound_curve", lambda x: bound_curve("tau_max", x)),
     ("bound_curve/array", lambda x: bound_curve("tau_up", np.array([0.1, x]))),
     ("BoundCurve.at", lambda x: BoundCurve("tau_down").at(x)),

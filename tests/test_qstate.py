@@ -53,6 +53,11 @@ def test_non_finite_amplitudes_are_rejected_and_extreme_scales_are_not():
             normalize(raw)
         with pytest.raises(ValidationError):
             PureState3(raw)
+    for wrong in (np.ones(7), np.ones((2, 8)), ["a"] * 8):
+        with pytest.raises(ValidationError):
+            normalize(wrong)
+        with pytest.raises(ValidationError):
+            PureState3(wrong)
     raw = np.array([1.0, 1j]) @ np.random.default_rng(13).normal(size=(2, 8))
     for scale in (1e-14, 1e307):
         assert np.max(np.abs(normalize(scale * raw).amp - normalize(raw).amp)) <= 1e-15

@@ -1,6 +1,7 @@
 """The self-check battery should pass wholesale and fail loudly on misuse."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from triqent import ValidationError, check_names, run_checks
@@ -19,6 +20,24 @@ def test_every_check_passes_at_the_default_seed():
 def test_unknown_check_names_are_rejected_up_front():
     with pytest.raises(ValidationError, match="no-such-check"):
         run_checks(names=["normalize-phase", "no-such-check"])
+    with pytest.raises(ValidationError, match="no-such-check"):
+        verify.check("no-such-check")
+
+
+def test_bad_seeds_are_rejected_up_front():
+    for seed in (-1, 1.5, True):
+        with pytest.raises(ValidationError, match="seed"):
+            run_checks(names=["normalize-phase"], seed=seed)
+
+
+def test_a_check_is_one_function_of_its_generator_and_size():
+    # run_checks hands each check default_rng([seed, stream]); calling the
+    # registered function with that generator reproduces its result
+    stream, fn = verify._REGISTRY["monogamy-pivots"]
+    detail = fn(np.random.default_rng([3, stream]))
+    assert run_checks(names=["monogamy-pivots"], seed=3)[0].detail == detail
+    assert verify.check("monogamy-pivots") is fn
+    assert fn(np.random.default_rng(0), n=5).startswith("5 states")
 
 
 def test_subset_runs_only_what_was_asked():
@@ -32,7 +51,7 @@ def test_subset_runs_only_what_was_asked():
 def test_duplicate_registration_is_refused():
     before = check_names()
     with pytest.raises(ValueError, match="duplicate"):
-        verify.register("normalize-phase")(lambda seed: "")
+        verify.register("normalize-phase")(lambda rng: "")
     assert check_names() == before
 
 
@@ -40,7 +59,7 @@ def test_failures_are_reported_not_raised():
     name = "always-bad-for-this-test"
     try:
         @verify.register(name)
-        def _bad(seed: int) -> str:
+        def _bad(rng) -> str:
             assert False, "deliberate"
 
         results = run_checks(names=[name])
