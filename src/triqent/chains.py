@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedType,
     ValidationError,
 )
-from .qstate import PureState3
+from .qstate import PureState3, _check_norms
 
 MODELS = ("tfim", "xx", "xxx", "xzx")
 
@@ -86,6 +86,13 @@ _TERMS = {
 }
 
 
+# every Pauli string of the Hamiltonians, ZII (the probe field) among them,
+# built once and read-only
+_PAULI_TABLE = {s: pauli_string(s) for terms in _TERMS.values() for _, _, s in terms}
+for _m in _PAULI_TABLE.values():
+    _m.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class ChainModel:
     """A named 3-site chain at a fixed coupling delta."""
@@ -122,7 +129,7 @@ def build_hamiltonian(model, delta: float | None = None) -> np.ndarray:
     h = np.zeros((8, 8), dtype=complex)
     for role, sign, s in cm.terms:
         coeff = sign if role == "unit" else sign * cm.delta
-        h += coeff * pauli_string(s)
+        h += coeff * _PAULI_TABLE[s]
     return h
 
 
@@ -144,12 +151,8 @@ def eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         evals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from None
-    vecs = np.array(vecs)
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        lead = col[int(np.argmax(np.abs(col)))]
-        vecs[:, j] = col * (np.conj(lead) / abs(lead))
-    return evals, vecs
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(8)]
+    return evals, vecs * (np.conj(lead) / _abs(lead))
 
 
 def _ab(d: float) -> tuple[float, float]:
@@ -249,34 +252,37 @@ class SuperpositionParams:
         return 2 + (self.gamma is not None) + (self.delta is not None)
 
 
-def _require_components(params: SuperpositionParams, needed: int, where: str):
-    if params.n_components != needed:
+def _require_components(k: int | None, needed: int, where: str):
+    if k != needed:
         raise ValidationError(
-            f"{where} takes {needed}-component superposition params, "
-            f"got {params.n_components}"
-        )
+            f"{where} takes {needed}-component superposition params, got {k}")
 
 
-# degenerate levels: basis kets in listing order and the parameter slot
-# attached to each (conventions differ between models)
+# degenerate levels: basis kets in listing order and the column of the member
+# coefficients (alpha, beta, gamma, delta) attached to each (conventions
+# differ between models)
 _DEG_FAMILY = {
-    ("tfim", 3): ((WT1_KET, WT2_KET), ("alpha", "beta")),
-    ("tfim", 4): ((X3WT1_KET, X3WT2_KET), ("alpha", "beta")),
-    ("xx", 4): ((WT1_KET, WT2_KET), ("beta", "alpha")),
-    ("xx", 5): ((X3WT1_KET, X3WT2_KET), ("beta", "alpha")),
-    ("xxx", 0): ((_ket(0b000), _ket(0b111)), ("beta", "alpha")),
-    ("xxx", 1): ((X3W_KET, W_KET), ("beta", "alpha")),
-    ("xxx", 2): ((WT1_KET, X3WT1_KET, WT2_KET, X3WT2_KET),
-                 ("alpha", "beta", "gamma", "delta")),
-    ("xzx", 2): ((X3WT1_KET, X3WT2_KET), ("alpha", "beta")),
-    ("xzx", 3): ((WT1_KET, WT2_KET), ("beta", "alpha")),
+    ("tfim", 3): ((WT1_KET, WT2_KET), (0, 1)),
+    ("tfim", 4): ((X3WT1_KET, X3WT2_KET), (0, 1)),
+    ("xx", 4): ((WT1_KET, WT2_KET), (1, 0)),
+    ("xx", 5): ((X3WT1_KET, X3WT2_KET), (1, 0)),
+    ("xxx", 0): ((_ket(0b000), _ket(0b111)), (1, 0)),
+    ("xxx", 1): ((X3W_KET, W_KET), (1, 0)),
+    ("xxx", 2): ((WT1_KET, X3WT1_KET, WT2_KET, X3WT2_KET), (0, 1, 2, 3)),
+    ("xzx", 2): ((X3WT1_KET, X3WT2_KET), (0, 1)),
+    ("xzx", 3): ((WT1_KET, WT2_KET), (1, 0)),
 }
+# the fused E = 0 subspace of the transverse-field chain at delta = 1
+_FUSED_FAMILY = ((_FUSED_KET, WT1_KET, WT2_KET), (2, 0, 1))
 
 
-def _slot_values(params: SuperpositionParams, slots) -> list[complex]:
-    table = {"alpha": params.alpha, "beta": params.beta,
-             "gamma": params.gamma, "delta": params.delta}
-    return [complex(table[s]) for s in slots]
+def _params_row(params: SuperpositionParams | None) -> np.ndarray | None:
+    """The coefficients (alpha, beta, gamma, delta) of params as one (1, k)
+    row of a member batch; None stays None."""
+    if params is None:
+        return None
+    fields = (params.alpha, params.beta, params.gamma, params.delta)
+    return np.array([[complex(v) for v in fields[:params.n_components]]])
 
 
 def _tfim_fg(d: float) -> dict[int, tuple[float, float]]:
@@ -351,14 +357,13 @@ def _at_fusion(name: str, n: int, d: float) -> bool:
     return name == "tfim" and n in (2, 3) and abs(d - 1.0) <= GAP_TOL
 
 
-def _fused_member(name: str, n: int, d: float,
-                  params: SuperpositionParams | None) -> bool:
-    """Whether params pick a member of the fused transverse-field subspace.
+def _fused_member(name: str, n: int, d: float, k: int | None) -> bool:
+    """Whether k-component members belong to the fused transverse-field subspace.
 
     Three-component params describe only that subspace (levels 2 and 3 at
     delta = 1); anywhere else they are refused.
     """
-    if params is None or params.n_components != 3:
+    if k != 3:
         return False
     if name != "tfim" or n not in (2, 3):
         raise ValidationError(
@@ -372,6 +377,118 @@ def _fused_member(name: str, n: int, d: float,
     return True
 
 
+def _cmul(a, b) -> np.ndarray:
+    """a * b as Python and numpy scalars multiply complex numbers; numpy's
+    vectorised complex multiply fuses a multiply-add and can differ in the
+    last bit."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    """|z| as libm's hypot gives it, like abs() of a complex scalar; numpy's
+    vectorised complex abs can differ in the last bit."""
+    return np.hypot(z.real, z.imag)
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    """x ** 2 as Python's float power computes it (libm pow), which differs
+    from x * x in the last bit for about 0.1% of values."""
+    return np.array([v ** 2 for v in x.tolist()])
+
+
+def _level_members(name: str, n: int, d: float, coeffs: np.ndarray | None) -> np.ndarray:
+    """(M, 8) closed-form members of level n, one per row of the (M, k)
+    member coefficients (alpha, beta, gamma, delta)[:k].
+
+    A non-degenerate level takes coeffs=None and gives its one eigenvector;
+    a degenerate one needs coeffs, three-component rows picking members of
+    the fused transverse-field subspace. Each member is summed coefficient
+    by basis ket in the family's order.
+    """
+    k = None if coeffs is None else coeffs.shape[1]
+    if _fused_member(name, n, d, k):
+        basis, cols = _FUSED_FAMILY
+    else:
+        family = _DEG_FAMILY.get((name, n))
+        if family is None:
+            if coeffs is not None:
+                raise ValidationError(
+                    f"{name} level {n} is non-degenerate; params do not apply")
+            return _nondeg_vector(name, n, d)[None, :]
+        if coeffs is None:
+            raise NeedParams(f"{name} level {n} is degenerate; pass SuperpositionParams")
+        basis, cols = family
+        _require_components(k, len(basis), f"{name} level {n}")
+    amps = np.zeros((len(coeffs), 8), dtype=complex)
+    for ket, col in zip(basis, cols):
+        amps += coeffs[:, col, None] * ket
+    return amps
+
+
+# tangle c f^p / g^4 of each non-degenerate tfim and xzx level, with (f, g)
+# from _tfim_fg or _xzx_fg; every other tfim, xx and xzx level has tangle 0
+_NONDEG_TANGLE = {
+    ("tfim", 0): (16.0, 1), ("tfim", 1): (48.0, 3), ("tfim", 2): (16.0, 1), ("tfim", 5): (48.0, 3),
+    ("xzx", 0): (48.0, 3), ("xzx", 1): (144.0, 1), ("xzx", 4): (48.0, 3), ("xzx", 5): (16.0, 1),
+}
+
+
+def _fixed_tangle(name: str, n: int, d: float, k: int | None) -> float:
+    """Tangle of a tfim, xx or xzx level, which is the same for every member
+    of a degenerate level, so such levels take params (k components) or none."""
+    if (name, n) in _NONDEG_TANGLE:
+        c, p = _NONDEG_TANGLE[(name, n)]
+        f, g = (_tfim_fg if name == "tfim" else _xzx_fg)(d)[n]
+        return float(c * f ** p / g ** 4)
+    if k is not None:
+        if (name, n) not in _DEG_FAMILY:
+            raise ValidationError(f"{name} level {n} is non-degenerate; params do not apply")
+        _require_components(k, 2, f"{name} level {n}")
+    return 0.0
+
+
+def _level_tangles(name: str, n: int, d: float, coeffs: np.ndarray | None) -> np.ndarray:
+    """(M,) closed-form tangles of the members _level_members builds from the
+    same coeffs (one row for coeffs=None).
+
+    The arithmetic is that of the scalar formulas: complex products without
+    a fused multiply-add, libm's hypot and pow.
+    """
+    k = None if coeffs is None else coeffs.shape[1]
+    if _fused_member(name, n, d, k):
+        al, be, g = coeffs.T
+        xi = _cmul(al, _OMEGA.conjugate()) + _cmul(be, _OMEGA)
+        eta = _cmul(al, _OMEGA) + _cmul(be, _OMEGA.conjugate())
+        odd = (al + be) - (xi - eta)
+        inner = _cmul(g, g) - _cmul(odd, odd) / 3.0 + _cmul(4.0 * eta / 3.0, al + be)
+        return _square(_abs(g)) * _abs(inner)
+    if name != "xxx":
+        return np.full(1 if coeffs is None else len(coeffs), _fixed_tangle(name, n, d, k))
+    # xxx: every level is degenerate and the tangle varies over each subspace
+    if coeffs is None:
+        raise NeedParams(f"xxx level {n} tangle depends on the member; pass params")
+    if n in (0, 1):
+        _require_components(k, 2, f"xxx level {n}")
+        b2 = _square(coeffs[:, 1].real)
+        base = 4.0 * b2 * (1.0 - b2)
+        return base if n == 0 else base / 3.0
+    _require_components(k, 4, "xxx level 2")
+    al, be, ga, de = coeffs.T
+    # pair the two k = 1, 2 kets of each magnetization sector
+    s_ab = al + ga
+    s_gd = be + de
+    e_ab = _cmul(al, _OMEGA) + _cmul(ga, _OMEGA.conjugate())
+    e_ba = _cmul(al, _OMEGA.conjugate()) + _cmul(ga, _OMEGA)
+    e_gd = _cmul(be, _OMEGA) + _cmul(de, _OMEGA.conjugate())
+    e_dg = _cmul(be, _OMEGA.conjugate()) + _cmul(de, _OMEGA)
+    pair = _cmul(s_ab, s_gd) - (_cmul(e_ba, e_dg) - _cmul(e_ab, e_gd))
+    val = _cmul(pair, pair) - _cmul(_cmul(_cmul(4.0 * s_ab, s_gd), e_ab), e_gd)
+    return (4.0 / 9.0) * _abs(val)
+
+
 def closed_form_eigenstate(model, n: int, delta: float | None = None,
                            params: SuperpositionParams | None = None) -> PureState3:
     """Exact eigenstate of level n, as a normalized state.
@@ -380,28 +497,12 @@ def closed_form_eigenstate(model, n: int, delta: float | None = None,
     with SuperpositionParams; non-degenerate levels take none. On the
     transverse-field chain at delta = 1 levels 2 and 3 fuse into a
     three-dimensional subspace whose members are reached with
-    three-component params (gamma on the even basis ket).
+    three-component params (gamma on the even basis ket). One row of
+    _level_members.
     """
     cm = _as_model(model, delta)
-    name, d = cm.name, cm.delta
-    n = _check_level(name, n)
-    if _fused_member(name, n, d, params):
-        g, al, be = params.gamma, params.alpha, params.beta
-        return PureState3(g * _FUSED_KET + al * WT1_KET + be * WT2_KET)
-    family = _DEG_FAMILY.get((name, n))
-    if family is None:
-        if params is not None:
-            raise ValidationError(f"{name} level {n} is non-degenerate; params do not apply")
-        return PureState3(_nondeg_vector(name, n, d))
-    if params is None:
-        raise NeedParams(f"{name} level {n} is degenerate; pass SuperpositionParams")
-    basis, slots = family
-    _require_components(params, len(basis), f"{name} level {n}")
-    values = _slot_values(params, slots)
-    vec = np.zeros(8, dtype=complex)
-    for coeff, ket in zip(values, basis):
-        vec += coeff * ket
-    return PureState3(vec)
+    n = _check_level(cm.name, n)
+    return PureState3(_level_members(cm.name, n, cm.delta, _params_row(params))[0])
 
 
 def closed_form_tangle(model, n: int, delta: float | None = None,
@@ -409,70 +510,12 @@ def closed_form_tangle(model, n: int, delta: float | None = None,
     """Exact tangle of level n, or of a chosen member of a degenerate level.
 
     Levels whose tangle is constant across the whole degenerate subspace
-    (the single-excitation families) report it without params.
+    (the single-excitation families) report it without params. One row of
+    _level_tangles.
     """
     cm = _as_model(model, delta)
-    name, d = cm.name, cm.delta
-    n = _check_level(name, n)
-    if _fused_member(name, n, d, params):
-        g, al, be = complex(params.gamma), complex(params.alpha), complex(params.beta)
-        xi = al * _OMEGA.conjugate() + be * _OMEGA
-        eta = al * _OMEGA + be * _OMEGA.conjugate()
-        inner = g * g - ((al + be) - (xi - eta)) ** 2 / 3.0 + (4.0 * eta / 3.0) * (al + be)
-        return float(abs(g) ** 2 * abs(inner))
-    if name == "tfim":
-        if n in (0, 2):
-            f, g = _tfim_fg(d)[n]
-            return float(16.0 * f / g ** 4)
-        if n in (1, 5):
-            f, g = _tfim_fg(d)[n]
-            return float(48.0 * f ** 3 / g ** 4)
-        if params is not None:
-            _require_components(params, 2, f"tfim level {n}")
-        return 0.0
-    if name == "xx":
-        if params is not None:
-            if n not in (4, 5):
-                raise ValidationError(f"xx level {n} is non-degenerate; params do not apply")
-            _require_components(params, 2, f"xx level {n}")
-        return 0.0
-    if name == "xzx":
-        fg = _xzx_fg(d)
-        if n == 0:
-            f, g = fg[0]
-            return float(48.0 * f ** 3 / g ** 4)
-        if n == 1:
-            f, g = fg[1]
-            return float(144.0 * f / g ** 4)
-        if n == 4:
-            f, g = fg[4]
-            return float(48.0 * f ** 3 / g ** 4)
-        if n == 5:
-            f, g = fg[5]
-            return float(16.0 * f / g ** 4)
-        if params is not None:
-            _require_components(params, 2, f"xzx level {n}")
-        return 0.0
-    # xxx: every level is degenerate and the tangle varies over each subspace
-    if params is None:
-        raise NeedParams(f"xxx level {n} tangle depends on the member; pass params")
-    if n in (0, 1):
-        _require_components(params, 2, f"xxx level {n}")
-        b2 = float(params.beta) ** 2
-        base = 4.0 * b2 * (1.0 - b2)
-        return float(base if n == 0 else base / 3.0)
-    _require_components(params, 4, "xxx level 2")
-    al, be = complex(params.alpha), complex(params.beta)
-    ga, de = complex(params.gamma), complex(params.delta)
-    # pair the two k = 1, 2 kets of each magnetization sector
-    s_ab = al + ga
-    s_gd = be + de
-    e_ab = al * _OMEGA + ga * _OMEGA.conjugate()
-    e_ba = al * _OMEGA.conjugate() + ga * _OMEGA
-    e_gd = be * _OMEGA + de * _OMEGA.conjugate()
-    e_dg = be * _OMEGA.conjugate() + de * _OMEGA
-    val = (s_ab * s_gd - (e_ba * e_dg - e_ab * e_gd)) ** 2 - 4.0 * s_ab * s_gd * e_ab * e_gd
-    return float((4.0 / 9.0) * abs(val))
+    n = _check_level(cm.name, n)
+    return float(_level_tangles(cm.name, n, cm.delta, _params_row(params))[0])
 
 
 @dataclass(frozen=True)
@@ -553,8 +596,8 @@ def degenerate_bloch_family(model, n: int, params: SuperpositionParams) -> Bloch
         else:
             r = float(np.sqrt((a2 - b2) ** 2 + 16.0 * a2 * b2) / 3.0)
         return BlochTriple(r, r, r)
-    _, slots = family
-    c1, c2 = _slot_values(params, slots[:2])
+    _, cols = family
+    c1, c2 = (complex(c) for c in _params_row(params)[0, list(cols)])
     # rotate the member so the coefficient on the second basis ket is real,
     # which is the frame the closed triple is written in
     if abs(c2) > 1e-300:
@@ -593,34 +636,50 @@ SWEEP_FIELDS = ("delta", "n", "energy_numeric", "energy_closed", "multiplicity",
                 "k", "p", "m_z", "tau_numeric", "tau_closed",
                 "r_a", "r_b", "r_c", "crossing_flag")
 
-_GRID_MAGS = (0.0, 0.25, 0.5, 0.75, 1.0)
-_GRID_PHASES = 8
 _MC_MEMBERS = 40
 
 
+# the grid policy's members of a two-fold level: alpha on a lattice of five
+# magnitudes and eight phases, beta real and non-negative
+_GRID_MEMBERS = np.array([
+    (mag * np.exp(1j * (2.0 * np.pi * j / 8)), float(np.sqrt(max(1.0 - mag * mag, 0.0))))
+    for mag in (0.0, 0.25, 0.5, 0.75, 1.0) for j in range(8)])
+_GRID_MEMBERS.flags.writeable = False
+
+
+def _draw_members(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, k) random members: complex normal rows, normalized, with the
+    global phase spent making beta (column 1) real and non-negative.
+
+    The stream and the arithmetic are those of count one-row draws: each
+    row's norm comes from BLAS dot products of its real and imaginary parts,
+    as np.linalg.norm computes it.
+    """
+    x = rng.normal(size=(count, 2, k))
+    raw = x[:, 0] + 1j * x[:, 1]
+    re, im = raw.real[:, None, :], raw.imag[:, None, :]
+    # a (1, k) @ (k, 1) product per row is one BLAS dot, like norm's
+    sqnorm = (re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
+    raw /= np.sqrt(sqnorm)
+    lead = raw[:, 1:2]
+    mag = _abs(lead)
+    spin = mag[:, 0] > 1e-12
+    raw[spin] *= np.conj(lead[spin]) / mag[spin]
+    raw[:, 1] = raw[:, 1].real
+    return raw
+
+
 def _random_params(m: int, rng: np.random.Generator) -> SuperpositionParams:
-    raw = rng.normal(size=m) + 1j * rng.normal(size=m)
-    raw /= np.linalg.norm(raw)
-    if abs(raw[1]) > 1e-12:
-        raw *= np.conj(raw[1]) / abs(raw[1])
-    fields = {"alpha": complex(raw[0]), "beta": float(raw[1].real)}
-    if m >= 3:
-        fields["gamma"] = complex(raw[2])
-    if m == 4:
-        fields["delta"] = complex(raw[3])
-    return SuperpositionParams(**fields)
+    """A random m-component member: one row of _draw_members."""
+    row = _draw_members(m, 1, rng)[0].tolist()
+    return SuperpositionParams(row[0], row[1].real, *row[2:])
 
 
-def _family_members(size: int, policy: str, rng: np.random.Generator):
+def _family_members(size: int, policy: str, rng: np.random.Generator) -> np.ndarray:
+    """(M, size) members of a degenerate level under params_policy."""
     if policy == "grid" and size == 2:
-        for mag in _GRID_MAGS:
-            beta = float(np.sqrt(max(1.0 - mag * mag, 0.0)))
-            for j in range(_GRID_PHASES):
-                th = 2.0 * np.pi * j / _GRID_PHASES
-                yield SuperpositionParams(alpha=mag * np.exp(1j * th), beta=beta)
-    else:
-        for _ in range(_MC_MEMBERS):
-            yield _random_params(size, rng)
+        return _GRID_MEMBERS
+    return _draw_members(size, _MC_MEMBERS, rng)
 
 
 def _sweep_point(name: str, d: float, policy: str, perturb: float,
@@ -629,17 +688,18 @@ def _sweep_point(name: str, d: float, policy: str, perturb: float,
     spectrum = closed_form_spectrum(name, d)
     sorted_e = sorted(e for e, _ in spectrum)
     crossing = any(b - a <= GAP_TOL for a, b in zip(sorted_e, sorted_e[1:]))
-    # (n, energy_numeric, energy_closed, multiplicity, tau_closed, state)
-    rows = []
     if perturb != 0.0:
-        evals, vecs = eigensystem(h + perturb * pauli_string("ZII"))
-        for j in range(8):
-            group = int(np.sum(np.abs(evals - evals[j]) <= GAP_TOL))
-            rows.append((j, float(evals[j]), None, group, None, PureState3(vecs[:, j])))
+        evals, vecs = eigensystem(h + perturb * _PAULI_TABLE["ZII"])
+        amps = vecs.T
+        group = np.sum(np.abs(evals - evals[:, None]) <= GAP_TOL, axis=1)
+        # per row: n, energy_numeric, energy_closed, multiplicity, tau_closed
+        meta = [(j, e, None, g, None)
+                for j, (e, g) in enumerate(zip(evals.tolist(), group.tolist()))]
     else:
         evals, _ = eigensystem(h)
         rng = np.random.default_rng([seed, index])
         taken = np.zeros(8, dtype=bool)
+        blocks, meta = [], []
         for n, (e_closed, mult) in enumerate(spectrum):
             free = np.flatnonzero(~taken)
             order = free[np.argsort(np.abs(evals[free] - e_closed), kind="stable")]
@@ -653,20 +713,19 @@ def _sweep_point(name: str, d: float, policy: str, perturb: float,
                 )
             e_num = float(np.mean(evals[chosen]))
             family = _DEG_FAMILY.get((name, n))
-            members = [None] if family is None else list(
-                _family_members(len(family[0]), policy, rng))
-            rows += [(n, e_num, e_closed, mult, closed_form_tangle(name, n, d, params),
-                      closed_form_eigenstate(name, n, d, params)) for params in members]
-    amps = np.array([row[-1].amp for row in rows])
+            coeffs = None if family is None else _family_members(len(family[0]), policy, rng)
+            blocks.append(_level_members(name, n, d, coeffs))
+            meta += [(n, e_num, e_closed, mult, t)
+                     for t in _level_tangles(name, n, d, coeffs).tolist()]
+        amps = np.concatenate(blocks)
+    _check_norms(amps)
     r, c, hdet = invariants(amps)
     tau = 4.0 * np.abs(hdet)
     check_monogamy(r, c, tau)
-    return [SweepRecord(delta=d, n=n, energy_numeric=e_num, energy_closed=e_closed,
-                        multiplicity=mult, k=lab.k, p=lab.p, m_z=lab.m_z,
-                        tau_numeric=float(t), tau_closed=tau_cl, r_a=float(ra),
-                        r_b=float(rb), r_c=float(rc), crossing_flag=crossing)
-            for (n, e_num, e_closed, mult, tau_cl, _), lab, t, (ra, rb, rc)
-            in zip(rows, symmetry_label_rows(amps), tau, r)]
+    return [SweepRecord(d, n, e_num, e_closed, mult, lab.k, lab.p, lab.m_z, t, tau_cl,
+                        ra, rb, rc, crossing)
+            for (n, e_num, e_closed, mult, tau_cl), lab, t, (ra, rb, rc)
+            in zip(meta, symmetry_label_rows(amps), tau.tolist(), r.tolist())]
 
 
 def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,

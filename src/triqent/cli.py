@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import operator
 import os
 import sys
 
@@ -28,18 +29,37 @@ VERIFY_FIELDS = ("name", "passed", "detail", "seed")
 # ---------------------------------------------------------------------------
 # formatting
 
-def _cell(x) -> str:
-    """One CSV/text cell; empty for missing or undefined values."""
-    if x is None:
-        return ""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        xf = float(x)
-        return "%.17g" % xf if np.isfinite(xf) else ""
-    return str(x)
+def _kind(t: type) -> str:
+    for kind, types in (("bool", (bool, np.bool_)), ("int", (int, np.integer)),
+                        ("float", (float, np.floating))):
+        if issubclass(t, types):
+            return kind
+    return "str"
+
+
+_FORMAT = {"bool": lambda v: "1" if v else "0", "int": lambda v: str(int(v)), "str": str}
+
+
+def _column(values: tuple) -> list[str]:
+    """The CSV/text cells of one column, formatted by the value types it
+    holds: floats as %.17g, bools as 1/0, ints and anything else through
+    str; None and non-finite floats give an empty cell. Each distinct value
+    is formatted once, since a sweep repeats most of its values (delta on
+    every row of a grid point, the energies on every member of a level)."""
+    kinds = {_kind(t) for t in set(map(type, values)) - {type(None)}}
+    if len(kinds) > 1:
+        return [c for v in values for c in _column((v,))]
+    if kinds == {"float"}:
+        x = np.array(values, dtype=float)  # None becomes NaN
+        # distinct by their bits, which tell -0.0 from 0.0
+        _, first, back = np.unique(x.view(np.int64), return_index=True, return_inverse=True)
+        distinct = x[first]
+        cells = np.array(list(map("%.17g".__mod__, distinct.tolist())), dtype=object)
+        cells[~np.isfinite(distinct)] = ""
+        return cells[back].tolist()
+    fmt = _FORMAT[kinds.pop() if kinds else "str"]
+    cells = {v: "" if v is None else fmt(v) for v in dict.fromkeys(values)}
+    return list(map(cells.__getitem__, values))
 
 
 def _jval(x):
@@ -54,19 +74,24 @@ def _jval(x):
     return x
 
 
+def _columns(header: tuple[str, ...], rows: list[tuple]) -> list[list[str]]:
+    """Per column, its name and then its formatted cells."""
+    return [[name, *_column(col)]
+            for name, col in zip(header, list(zip(*rows)) or [()] * len(header))]
+
+
 def _table(header: tuple[str, ...], rows: list[tuple], fmt: str) -> str:
     if fmt == "json":
         payload = [dict(zip(header, map(_jval, row))) for row in rows]
         return json.dumps(payload, indent=2) + "\n"
-    cells = [list(header)] + [[_cell(v) for v in row] for row in rows]
+    cols = _columns(header, rows)
     if fmt == "csv":
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(cells)
+        csv.writer(buf, lineterminator="\n").writerows(zip(*cols))
         return buf.getvalue()
-    widths = [max(len(r[j]) for r in cells) for j in range(len(header))]
-    return "".join(
-        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
-        for row in cells)
+    cols = [[c.ljust(w) for c in col] for col, w in
+            zip(cols, (max(map(len, col)) for col in cols))]
+    return "".join("  ".join(row).rstrip() + "\n" for row in zip(*cols))
 
 
 def _record(header: tuple[str, ...], row: tuple, fmt: str) -> str:
@@ -76,7 +101,8 @@ def _record(header: tuple[str, ...], row: tuple, fmt: str) -> str:
     if fmt == "csv":
         return _table(header, [row], "csv")
     width = max(len(k) for k in header)
-    return "".join(f"{k.ljust(width)}  {_cell(v)}\n" for k, v in zip(header, row))
+    cells = [col[1] for col in _columns(header, [row])]
+    return "".join(f"{k.ljust(width)}  {c}\n" for k, c in zip(header, cells))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -91,16 +117,12 @@ def _emit(text: str, out: str | None) -> None:
 # state ingestion
 
 def _named_states() -> dict[str, np.ndarray]:
-    ghz = np.zeros(8, dtype=complex)
-    ghz[0] = ghz[7] = 1.0
-    zero = np.zeros(8, dtype=complex)
-    zero[0] = 1.0
     return {
-        "ghz": ghz,
+        "ghz": chains.GHZ_KET,
         "w": chains.W_KET,
         "wt1": chains.WT1_KET,
         "wt2": chains.WT2_KET,
-        "zero": zero,
+        "zero": chains._ket(0b000),
     }
 
 
@@ -222,7 +244,7 @@ def _cmd_sweep(args) -> tuple[str, int]:
     grid = [float(d) for d in np.linspace(args.delta_min, args.delta_max, args.points)]
     records = chains.sweep(args.model, grid, params_policy=args.params_policy,
                            perturb=args.perturb, seed=args.seed)
-    rows = [tuple(getattr(rec, f) for f in chains.SWEEP_FIELDS) for rec in records]
+    rows = list(map(operator.attrgetter(*chains.SWEEP_FIELDS), records))
     return _table(chains.SWEEP_FIELDS, rows, args.format), 0
 
 

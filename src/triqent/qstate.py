@@ -111,6 +111,15 @@ class SliceTensors:
     qubit: str
 
 
+def _check_norms(amps: np.ndarray) -> None:
+    """The PureState3 norm check over every row of (m, 8) amplitudes: raise
+    BadNormalization unless each row has norm 1 within NORM_TOL."""
+    norms = np.linalg.norm(amps, axis=-1)
+    bad = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN norms fail too
+    if bad.any():
+        raise BadNormalization(f"state norm {norms[bad][0]} deviates from 1 beyond {NORM_TOL}")
+
+
 def _amps8(raw) -> np.ndarray:
     """raw as a new flat array of 8 complex amplitudes."""
     try:

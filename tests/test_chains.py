@@ -38,7 +38,15 @@ from triqent import (
     symmetry_labels,
     tangle,
 )
-from triqent.chains import _DEG_FAMILY, _random_params, GAP_TOL, symmetry_label_rows
+from triqent.chains import (
+    GAP_TOL,
+    _DEG_FAMILY,
+    _draw_members,
+    _level_members,
+    _level_tangles,
+    _random_params,
+    symmetry_label_rows,
+)
 
 GRIDS = {
     "tfim": np.linspace(0.0, 2.5, 21),
@@ -439,6 +447,48 @@ def test_generic_states_carry_no_labels():
 
 # ---------------------------------------------------------------------------
 # sweeps
+
+def _same_bits(a, b) -> bool:
+    def bits(x):
+        return np.asarray(x, dtype=complex).reshape(-1).view(float)
+    return np.array_equal(bits(a), bits(b))
+
+
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_one_row_draws_are_rows_of_the_batch_draw(k):
+    rng_one, rng_batch = np.random.default_rng(8), np.random.default_rng(8)
+    batch = _draw_members(k, 25, rng_batch)
+    for row in batch:
+        p = _random_params(k, rng_one)
+        fields = (p.alpha, p.beta, p.gamma, p.delta)[:k]
+        assert _same_bits(fields, row)
+    assert rng_one.normal() == rng_batch.normal()
+
+
+def _levels():
+    """Every degenerate and non-degenerate level at one coupling per model,
+    and the fused transverse-field subspace at delta = 1."""
+    for name in MODELS:
+        d = -0.6 if name == "xxx" else 0.7
+        for n in range(LEVELS[name]):
+            family = _DEG_FAMILY.get((name, n))
+            yield name, n, d, None if family is None else len(family[0])
+    yield "tfim", 2, 1.0, 3
+    yield "tfim", 3, 1.0, 3
+
+
+@pytest.mark.parametrize("name, n, d, k", list(_levels()))
+def test_one_row_calls_are_rows_of_the_batch_builders(name, n, d, k):
+    coeffs = None if k is None else _draw_members(k, 30, np.random.default_rng(n))
+    amps = _level_members(name, n, d, coeffs)
+    taus = _level_tangles(name, n, d, coeffs)
+    assert amps.shape == (len(taus), 8) and len(taus) == (1 if k is None else 30)
+    rows = [None] if k is None else coeffs
+    for row, amp, tau in zip(rows, amps, taus):
+        params = None if row is None else SuperpositionParams(row[0], row[1].real, *row[2:])
+        assert _same_bits(closed_form_eigenstate(name, n, d, params).amp, amp)
+        assert _same_bits(closed_form_tangle(name, n, d, params), tau)
+
 
 def test_sweep_rows_are_reproducible_and_complete():
     grid = [0.0, 0.5, 1.0, 1.7]

@@ -8,6 +8,7 @@ from conftest import ghz, haar_state, ket
 from triqent import (
     QUBITS,
     TYPE_IDS,
+    BadNormalization,
     LocalUnitary,
     PureState3,
     ValidationError,
@@ -23,7 +24,7 @@ from triqent import (
     slice_state,
     tangle,
 )
-from triqent.qstate import _haar_u2_batch, _sample_type_batch
+from triqent.qstate import NORM_TOL, _check_norms, _haar_u2_batch, _sample_type_batch
 
 
 def test_normalize_fixes_scale_and_global_phase():
@@ -61,6 +62,16 @@ def test_non_finite_amplitudes_are_rejected_and_extreme_scales_are_not():
     raw = np.array([1.0, 1j]) @ np.random.default_rng(13).normal(size=(2, 8))
     for scale in (1e-14, 1e307):
         assert np.max(np.abs(normalize(scale * raw).amp - normalize(raw).amp)) <= 1e-15
+
+
+def test_row_norm_check_accepts_unit_rows_and_names_the_first_bad_one():
+    rows = np.stack([ghz().amp] * 3)
+    _check_norms(rows)
+    for scale, norm in ((1.0 + 4 * NORM_TOL, r"1\.00000000000"), (np.nan, "nan")):
+        wrong = rows.copy()
+        wrong[1:] *= scale
+        with pytest.raises(BadNormalization, match=f"^state norm {norm}"):
+            _check_norms(wrong)
 
 
 def test_amplitudes_are_frozen():
