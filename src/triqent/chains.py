@@ -222,7 +222,8 @@ class SuperpositionParams:
 
     Two-fold spaces use (alpha, beta); three- and four-fold spaces add gamma
     and delta. The total norm is 1 and beta carries no phase, since the
-    global phase has already been spent making it real and non-negative.
+    global phase has already been spent making it real and non-negative. A
+    complex beta within 1e-12 of the real axis is stored as its real part.
     """
 
     alpha: complex
@@ -237,7 +238,8 @@ class SuperpositionParams:
         if isinstance(beta, complex):
             if abs(beta.imag) > 1e-12:
                 raise ValidationError("beta must be real; the free phase is spent")
-            beta = beta.real
+            beta = float(beta.real)
+            object.__setattr__(self, "beta", beta)
         if beta < 0.0:
             raise ValidationError(f"beta must be non-negative, got {beta}")
         total = abs(self.alpha) ** 2 + beta ** 2

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalForm, EntLabel
+from .canonical import EntLabel
 from .entanglement import BlochTriple
 from .errors import (
     ComplexTau,
@@ -130,17 +130,18 @@ def big_r(r):
     return _out(np.sqrt(rows[..., 0] ** 2 + rows[..., 1] ** 2 + rows[..., 2] ** 2))
 
 
-def big_r_from_cf(cf: CanonicalForm) -> float:
-    """R evaluated directly from canonical coefficients.
+def big_r_from_cf(cf):
+    """R evaluated directly from canonical coefficients: of a CanonicalForm,
+    or of each row of a canonical.decompose_rows result.
 
     R^2 = 3 - 4 l0^2 (3 - 3 l0^2 - 3 l1^2 - l2^2 - l3^2) - 8 D with
     D = l1^2 l4^2 + l2^2 l3^2 - 2 l1 l2 l3 l4 cos(phi). Agrees with the
     norm of the reconstructed state's Bloch triple to machine precision.
     """
-    l0, l1, l2, l3, l4 = cf.lambdas
+    l0, l1, l2, l3, l4 = np.moveaxis(np.asarray(cf.lambdas, dtype=float), -1, 0)
     d = l1 ** 2 * l4 ** 2 + l2 ** 2 * l3 ** 2 - 2.0 * l1 * l2 * l3 * l4 * np.cos(cf.phi)
     r2 = 3.0 - 4.0 * l0 ** 2 * (3.0 - 3.0 * l0 ** 2 - 3.0 * l1 ** 2 - l2 ** 2 - l3 ** 2) - 8.0 * d
-    return float(np.sqrt(np.clip(r2, 0.0, 3.0)))
+    return _out(np.sqrt(np.clip(r2, 0.0, 3.0)))
 
 
 def dist_to_diagonal(r):

@@ -63,6 +63,14 @@ class PureState3:
         r.flags.writeable = c.flags.writeable = False
         return r, c, complex(hdet[0])
 
+    @cached_property
+    def canonical(self) -> "CanonicalForm":
+        """The canonical form: the one row of canonical.decompose_rows for
+        this state, computed on first use."""
+        from .canonical import decompose_rows
+
+        return decompose_rows(self.amp[None, :]).form(0)
+
     def to_json(self) -> str:
         """Serialize as a JSON array of 8 [re, im] pairs."""
         return json.dumps([[a.real, a.imag] for a in self.amp])
@@ -118,6 +126,22 @@ def _check_norms(amps: np.ndarray) -> None:
     bad = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN norms fail too
     if bad.any():
         raise BadNormalization(f"state norm {norms[bad][0]} deviates from 1 beyond {NORM_TOL}")
+
+
+def _amp_rows(raw) -> np.ndarray:
+    """raw as (n, 8) complex amplitude rows, each finite with norm 1 within
+    NORM_TOL; ValidationError (BadNormalization for a norm) otherwise."""
+    try:
+        arr = np.asarray(raw)
+    except ValueError:  # ragged
+        arr = None
+    if arr is None or arr.dtype.kind not in "biufc" or arr.shape[1:] != (8,) or arr.ndim != 2:
+        raise ValidationError("amplitude rows must be an (n, 8) array of complex numbers")
+    if not np.isfinite(arr).all():
+        raise ValidationError("amplitudes must be finite")
+    arr = arr.astype(complex, copy=False)
+    _check_norms(arr)
+    return arr
 
 
 def _amps8(raw) -> np.ndarray:

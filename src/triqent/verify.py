@@ -328,44 +328,37 @@ def _check_concurrence_routes(rng: np.random.Generator) -> str:
 
 @register("cd-structure", stream=10)
 def _check_cd_structure(rng: np.random.Generator) -> str:
-    worst_det = 0.0
-    for _ in range(300):
-        s = _haar_state(rng)
-        cf = canonical.canonical_decompose(s)
-        lam = np.asarray(cf.lambdas)
-        assert float(lam.min()) >= 0.0, "negative canonical coefficient"
-        assert abs(float((lam ** 2).sum()) - 1.0) <= 1e-12, "coefficients not normalized"
-        assert 0.0 <= cf.phi <= np.pi + 1e-12, f"phase {cf.phi} outside [0, pi]"
-        assert cf.branch in ("plus", "minus")
-        bz = canonical.det_zero_solutions(qstate.slice_state(s, "A"))
-        t = s.tensor
-        best = 0.0
-        for z, w in bz.pairs:
-            assert abs(abs(z) ** 2 + abs(w) ** 2 - 1.0) <= 1e-12, "pair not unit"
-            m = z * t[0] + w * t[1]
-            worst_det = max(worst_det, abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
-            best = max(best, float(canonical._branch_form(t, (z, w))[0][0]))
-        assert cf.lambdas[0] >= best - 1e-9, "branch choice does not maximize l0"
-        tau = entanglement.tangle(s, check=False)
-        assert abs(4.0 * (cf.lambdas[0] * cf.lambdas[4]) ** 2 - tau) <= 1e-9, \
-            "4 (l0 l4)^2 drifted from the tangle"
+    amps = np.array([_haar_state(rng).amp for _ in range(300)])
+    cd = canonical.decompose_rows(amps)
+    lam = cd.lambdas
+    assert float(lam.min()) >= 0.0, "negative canonical coefficient"
+    assert float(np.max(np.abs((lam ** 2).sum(axis=1) - 1.0))) <= 1e-12, \
+        "coefficients not normalized"
+    assert np.all((0.0 <= cd.phi) & (cd.phi <= np.pi + 1e-12)), \
+        f"phase {cd.phi[np.argmax(cd.phi)]} outside [0, pi]"
+    assert np.isin(cd.branch, (0, 1)).all(), "unknown branch"
+    z, w = cd.pairs[..., 0, None, None], cd.pairs[..., 1, None, None]
+    assert float(np.max(np.abs(np.abs(z) ** 2 + np.abs(w) ** 2 - 1.0))) <= 1e-12, "pair not unit"
+    t = amps.reshape(-1, 1, 2, 2, 2)
+    m = z * t[:, :, 0] + w * t[:, :, 1]
+    worst_det = float(np.max(np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])))
+    best = cd.branch_lambdas[:, :, 0].max(axis=1)
+    assert np.all(lam[:, 0] >= best - 1e-9), "branch choice does not maximize l0"
+    tau = 4.0 * np.abs(entanglement.invariants(amps)[2])
+    assert float(np.max(np.abs(4.0 * (lam[:, 0] * lam[:, 4]) ** 2 - tau))) <= 1e-9, \
+        "4 (l0 l4)^2 drifted from the tangle"
     assert worst_det <= 1e-9, f"singular-slice residual {worst_det:.3e}"
     return f"300 states, det residual {worst_det:.1e}"
 
 
 @register("cd-roundtrip", stream=11)
 def _check_cd_roundtrip(rng: np.random.Generator, n: int = 800) -> str:
-    states = [qstate.normalize(a) for a in qstate._haar_amps(n, rng)]
-    back = [canonical.reconstruct(canonical.canonical_decompose(s)).amp for s in states]
-    worst = float(np.max(np.abs(_seven_invariants(np.array(back))
-                                - _seven_invariants(np.array([s.amp for s in states])))))
-    worst_branch = 0.0
-    for s in states:
-        bz = canonical.det_zero_solutions(qstate.slice_state(s, "A"))
-        lam_p = canonical._branch_form(s.tensor, bz.plus)[0]
-        lam_m = canonical._branch_form(s.tensor, bz.minus)[0]
-        worst_branch = max(worst_branch, abs(
-            4.0 * (lam_p[0] * lam_p[4]) ** 2 - 4.0 * (lam_m[0] * lam_m[4]) ** 2))
+    amps = np.array([qstate.normalize(a).amp for a in qstate._haar_amps(n, rng)])
+    cd = canonical.decompose_rows(amps)
+    back = canonical._canonical_amps(cd.lambdas, cd.phi)
+    worst = float(np.max(np.abs(_seven_invariants(back) - _seven_invariants(amps))))
+    taus = 4.0 * (cd.branch_lambdas[:, :, 0] * cd.branch_lambdas[:, :, 4]) ** 2
+    worst_branch = float(np.max(np.abs(taus[:, 0] - taus[:, 1])))
     assert worst <= 1e-9, f"round trip moved an invariant by {worst:.3e}"
     assert worst_branch <= 1e-10, f"branch tangles split by {worst_branch:.3e}"
     return f"{n} states, invariant spread {worst:.1e}, branch split {worst_branch:.1e}"
@@ -434,9 +427,9 @@ def _check_bipyramid_membership(rng: np.random.Generator) -> str:
 
 @register("master-r2", stream=14)
 def _check_master_r2(rng: np.random.Generator) -> str:
-    states = [_haar_state(rng) for _ in range(500)]
-    direct = polytope.big_r(np.array([s.invariants[0] for s in states]))
-    from_cf = [polytope.big_r_from_cf(canonical.canonical_decompose(s)) for s in states]
+    amps = np.array([_haar_state(rng).amp for _ in range(500)])
+    direct = polytope.big_r(entanglement.invariants(amps)[0])
+    from_cf = polytope.big_r_from_cf(canonical.decompose_rows(amps))
     worst = float(np.max(np.abs(direct - from_cf)))
     assert worst <= 1e-9, f"R from coefficients drifts from geometry by {worst:.3e}"
     assert polytope.big_r(entanglement.bloch_triple(_GHZ)) <= 1e-12

@@ -3,29 +3,40 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ghz, haar_state, ket, w_state
 from triqent import (
+    TYPE_IDS,
     TYPE_KINDS,
     BadNormalization,
     CanonicalForm,
+    NumericalError,
+    PureState3,
     ValidationError,
     bloch_triple,
+    canonical,
     canonical_decompose,
     classify,
+    classify_rows,
     concurrence_pair,
+    decompose_rows,
     det_zero_solutions,
+    normalize,
     reconstruct,
     sample_type,
     slice_state,
     tangle,
 )
-from triqent.canonical import _branch_form
 from triqent.qstate import (
+    _CD_AMP_IDX,
     QUBITS,
     LocalUnitary,
     _draw_lambdas,
+    _haar_amps,
     _haar_u2_batch,
+    _sample_type_batch,
     apply_local_unitary,
 )
 
@@ -58,12 +69,14 @@ def test_reconstruction_lives_on_the_five_slot_support():
 
 
 def test_branch_choice_maximizes_leading_coefficient():
+    # each branch's l0 is the top singular value of its rotated first slice
     rng = np.random.default_rng(19)
     for _ in range(150):
         s = haar_state(rng)
         cf = canonical_decompose(s)
         bz = det_zero_solutions(slice_state(s, "A"))
-        best = max(_branch_form(s.tensor, pr)[0][0] for pr in bz.pairs)
+        t = s.tensor
+        best = max(np.linalg.svd(z * t[0] + w * t[1], compute_uv=False)[0] for z, w in bz.pairs)
         assert cf.lambdas[0] >= best - 1e-9
 
 
@@ -90,14 +103,11 @@ def test_round_trip_preserves_the_seven_invariants():
 
 def test_both_branches_agree_on_the_tangle():
     rng = np.random.default_rng(47)
-    for _ in range(300):
-        s = haar_state(rng)
-        bz = det_zero_solutions(slice_state(s, "A"))
-        taus = [4.0 * (_branch_form(s.tensor, pr)[0][0]
-                       * _branch_form(s.tensor, pr)[0][4]) ** 2
-                for pr in bz.pairs]
-        assert abs(taus[0] - taus[1]) <= 1e-10
-        assert abs(taus[0] - tangle(s, check=False)) <= 1e-9
+    states = [haar_state(rng) for _ in range(300)]
+    lam = decompose_rows(np.array([s.amp for s in states])).branch_lambdas
+    taus = 4.0 * (lam[:, :, 0] * lam[:, :, 4]) ** 2
+    assert np.max(np.abs(taus[:, 0] - taus[:, 1])) <= 1e-10
+    assert np.max(np.abs(taus[:, 0] - [tangle(s, check=False) for s in states])) <= 1e-9
 
 
 def test_ghz_and_w_anchor_decompositions():
@@ -176,3 +186,93 @@ def test_decompose_handles_degenerate_slice_pencils():
         assert np.max(np.abs(np.asarray(cf.lambdas) - np.asarray(lam))) <= 1e-10
         back = reconstruct(cf)
         assert np.max(np.abs(_invariants(back) - _invariants(s))) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the batch entry points and their one-row calls
+
+_ANCHORS = (ghz(), w_state(), ket((0, 1.0)), ket((7, 1.0)), ket((0, 1.0), (3, 1.0)),
+            ket((0, 1.0), (5, 1.0)), ket((0, 1.0), (6, 1.0)))
+
+
+@st.composite
+def _amp_row(draw):
+    """A unit row: an anchor (GHZ, W, product, biseparable, the two
+    vanishing pencils), a canonical row with exact zero amplitudes, a
+    scrambled typed row, or a typed row near W (l0 about 0 included) plus
+    noise of size 1e-12 to 1e-3."""
+    shape = draw(st.sampled_from(("anchor", "aligned", "typed", "near-w")))
+    if shape == "anchor":
+        return draw(st.sampled_from(_ANCHORS)).amp
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if shape == "typed":
+        return _sample_type_batch(draw(st.sampled_from(TYPE_IDS)), 1, rng)[0]
+    if shape == "aligned":
+        support = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True))
+        lam = np.zeros(5, dtype=complex)
+        lam[support] = rng.uniform(0.1, 1.0, size=len(support))
+        lam[1] *= np.exp(1j * draw(st.sampled_from((0.0, np.pi / 3, np.pi))))
+        amp = np.zeros(8, dtype=complex)
+        amp[list(_CD_AMP_IDX)] = lam
+        return normalize(amp).amp
+    base = _sample_type_batch(draw(st.sampled_from(("3a", "4a", "2a"))), 1, rng)[0]
+    noise = _haar_amps(1, rng)[0]
+    return normalize(base + 10.0 ** draw(st.floats(-12.0, -3.0)) * noise).amp
+
+
+_ROW_FIELDS = ("lambdas", "phi", "branch", "degenerate", "pairs", "branch_lambdas")
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.lists(_amp_row(), min_size=1, max_size=8))
+def test_batch_rows_equal_their_one_row_calls(rows):
+    amps = np.array(rows)
+    cd = decompose_rows(amps)
+    slocc, kind = classify_rows(amps)
+    for i, amp in enumerate(amps):
+        one = decompose_rows(amps[i:i + 1])
+        for name in _ROW_FIELDS:
+            a, b = getattr(cd, name)[i:i + 1], getattr(one, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert [x[0] for x in classify_rows(amps[i:i + 1])] == [slocc[i], kind[i]]
+        s = PureState3(amp)
+        assert canonical_decompose(s) == cd.form(i)
+        label = classify(s)
+        assert (label.slocc, label.kind) == (slocc[i], kind[i])
+
+
+def test_classify_then_decompose_runs_one_decomposition(monkeypatch):
+    calls = []
+    batch = canonical.decompose_rows
+
+    def counted(amps):
+        calls.append(len(amps))
+        return batch(amps)
+
+    monkeypatch.setattr(canonical, "decompose_rows", counted)
+    s = haar_state(np.random.default_rng(61))
+    assert classify(s).kind == "5"
+    cf = canonical_decompose(s)
+    assert canonical_decompose(s) is cf
+    assert calls == [1]
+
+
+def test_off_norm_rows_raise_bad_normalization():
+    rows = np.array([ghz().amp, w_state().amp])
+    rows[1] *= 1.0 + 1e-9
+    for call in (decompose_rows, classify_rows):
+        with pytest.raises(BadNormalization, match="^state norm 1.000000001"):
+            call(rows)
+
+
+def test_determinant_residual_names_the_first_bad_row(monkeypatch):
+    amps = _haar_amps(3, np.random.default_rng(67))
+    real = canonical._pencil
+
+    def off(T0, T1):
+        c, m, a = real(T0, T1)
+        return c + np.array([0.0, 1e-3, 1e-3]), m, a
+
+    monkeypatch.setattr(canonical, "_pencil", off)
+    with pytest.raises(NumericalError, match="in row 1$"):
+        decompose_rows(amps)

@@ -197,6 +197,15 @@ def test_superposition_params_validation():
     assert p.n_components == 2
 
 
+def test_a_nearly_real_beta_is_stored_as_its_real_part():
+    p = SuperpositionParams(alpha=0.6, beta=0.8 + 1e-13j)
+    assert type(p.beta) is float and p.beta == 0.8
+    bt = degenerate_bloch_family("xxx", 0, p)
+    assert bt == degenerate_bloch_family("xxx", 0, SuperpositionParams(alpha=0.6, beta=0.8))
+    with pytest.raises(ValidationError):
+        SuperpositionParams(alpha=0.6, beta=0.8 + 1e-11j)
+
+
 # ---------------------------------------------------------------------------
 # closed-form tangles
 

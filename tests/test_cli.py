@@ -312,6 +312,26 @@ def test_outputs_match_their_golden_digests(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
 
 
+# sha256 of a verb's outputs for ghz, w, wt1 and zero in text, csv and json,
+# joined in that order; taken before the decomposition and classifier were
+# batched
+NAMED_STATE_GOLDEN = {
+    "classify": "f53db5e0338d9f945759748920c7dccfaace327988c29f6c6e380651d1a4894c",
+    "cd": "aafdf54995e8ad13d33b1ee9986a97f4a67e315af754d5441af9faabfec01b4b",
+}
+
+
+@pytest.mark.parametrize("verb", NAMED_STATE_GOLDEN)
+def test_named_state_outputs_match_their_golden_digest(capsys, verb):
+    outs = []
+    for state in ("ghz", "w", "wt1", "zero"):
+        for fmt in ("text", "csv", "json"):
+            code, out, err = run(capsys, verb, "--state", state, "--format", fmt)
+            assert code == 0 and err == ""
+            outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == NAMED_STATE_GOLDEN[verb]
+
+
 # (value, its csv cell, its text cell)
 CELLS = [
     (None, "", ""),

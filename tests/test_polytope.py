@@ -32,6 +32,8 @@ from triqent import (
     bloch_triple,
     bound_curve,
     canonical_decompose,
+    classify_rows,
+    decompose_rows,
     dist_to_diagonal,
     f_lowest_order,
     in_stratum,
@@ -398,12 +400,19 @@ def test_array_calls_equal_their_stacked_one_row_calls(rows):
 
 _ROW = np.array([[0.2, 0.3, 0.4], [0.5, 0.5, 0.5]])
 _CF = canonical_decompose(w_state())
+_AMPS = np.array([ghz().amp, w_state().amp])
 
 
 def _with_bad_row(bad):
     rows = _ROW.copy()
     rows[1, 2] = bad
     return rows
+
+
+def _with_bad_amp(bad):
+    amps = _AMPS.copy()
+    amps[1, 3] = bad
+    return amps
 
 
 # (name, call with one bad value substituted); every public polytope function
@@ -431,6 +440,11 @@ _BAD_VALUE_CALLS = [
         CanonicalForm(lambdas=(x,) + _CF.lambdas[1:], phi=0.0, branch="plus"))),
     ("big_r_from_cf/phi", lambda x: big_r_from_cf(
         CanonicalForm(lambdas=_CF.lambdas, phi=x, branch="plus"))),
+    ("decompose_rows", lambda x: decompose_rows(_with_bad_amp(x))),
+    ("classify_rows", lambda x: classify_rows(_with_bad_amp(x))),
+    ("classify_rows/tol", lambda x: classify_rows(_AMPS, tol=x)),
+    ("classify_rows/cd_tol", lambda x: classify_rows(_AMPS, cd_tol=x)),
+    ("classify_rows/negative", lambda x: classify_rows(_AMPS, cd_tol=min(x, -1.0))),
 ]
 
 _BAD_SHAPE_CALLS = [
@@ -444,6 +458,13 @@ _BAD_SHAPE_CALLS = [
     ("tau_surface/broadcast", lambda: tau_surface(np.zeros(2), np.zeros(3), 0.0)),
     ("bound_curve/complex", lambda: bound_curve("tau_max", 0.5 + 0.1j)),
     ("big_r/text", lambda: big_r(["a", "b", "c"])),
+    ("decompose_rows/trailing", lambda: decompose_rows(_AMPS[:, :7])),
+    ("decompose_rows/one-axis", lambda: decompose_rows(_AMPS[0])),
+    ("decompose_rows/ragged", lambda: decompose_rows([list(_AMPS[0]), [1.0]])),
+    ("decompose_rows/text", lambda: decompose_rows([["a"] * 8])),
+    ("classify_rows/trailing", lambda: classify_rows(np.zeros((2, 9)))),
+    ("classify_rows/ragged", lambda: classify_rows([list(_AMPS[0]), [1.0]])),
+    ("classify_rows/text", lambda: classify_rows([["1"] * 8])),
 ]
 
 

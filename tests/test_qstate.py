@@ -16,6 +16,7 @@ from triqent import (
     apply_local_unitary,
     bloch_triple,
     classify,
+    classify_rows,
     concurrence_pair,
     normalize,
     reassemble,
@@ -176,8 +177,7 @@ def test_batch_rows_classify_as_their_type():
     # 4c rows drawn with l0^2 < 1/2 would decompose on the other branch
     # and classify as type 5
     for i, t in enumerate(TYPE_IDS):
-        for row in _sample_type_batch(t, 500, 900 + i):
-            got = classify(normalize(row)).kind
+        for got in classify_rows(_sample_type_batch(t, 500, 900 + i))[1]:
             assert got == t or got.startswith(t + "-"), (t, got)
 
 
