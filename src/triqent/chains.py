@@ -7,7 +7,8 @@ each level's tangle is under a symmetry-breaking perturbation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,6 +92,20 @@ _TERMS = {
 _PAULI_TABLE = {s: pauli_string(s) for terms in _TERMS.values() for _, _, s in terms}
 for _m in _PAULI_TABLE.values():
     _m.flags.writeable = False
+_EIGHT = np.arange(8)
+
+
+def _check_model(name: str, deltas=()) -> None:
+    """Refuse an unknown model name, then the first coupling outside the
+    model's domain: every delta must be finite, and non-negative except for
+    xxx."""
+    if name not in MODELS:
+        raise UnknownModel(f"model must be one of {MODELS}, got {name!r}")
+    for d in deltas:
+        if not math.isfinite(d):
+            raise OutOfDomain(f"{name} needs a finite delta, got {d}")
+        if name != "xxx" and d < 0.0:
+            raise OutOfDomain(f"{name} needs delta >= 0, got {d}")
 
 
 @dataclass(frozen=True)
@@ -101,12 +116,7 @@ class ChainModel:
     delta: float
 
     def __post_init__(self):
-        if self.name not in MODELS:
-            raise UnknownModel(f"model must be one of {MODELS}, got {self.name!r}")
-        if not np.isfinite(self.delta):
-            raise OutOfDomain(f"{self.name} needs a finite delta, got {self.delta}")
-        if self.name != "xxx" and self.delta < 0.0:
-            raise OutOfDomain(f"{self.name} needs delta >= 0, got {self.delta}")
+        _check_model(self.name, (self.delta,))
 
     @property
     def terms(self):
@@ -123,13 +133,26 @@ def _as_model(model, delta) -> ChainModel:
     return ChainModel(str(model), float(delta))
 
 
-def build_hamiltonian(model, delta: float | None = None) -> np.ndarray:
-    """Assemble the 8 by 8 Hamiltonian from the model's Pauli terms."""
-    cm = _as_model(model, delta)
-    h = np.zeros((8, 8), dtype=complex)
-    for role, sign, s in cm.terms:
-        coeff = sign if role == "unit" else sign * cm.delta
-        h += coeff * _PAULI_TABLE[s]
+def build_hamiltonian(model, delta=None) -> np.ndarray:
+    """Assemble the 8 by 8 Hamiltonian from the model's Pauli terms.
+
+    With a model name and a 1-D sequence of P couplings, gives the (P, 8, 8)
+    stack of their Hamiltonians, each summed term by term in the same order
+    as a one-coupling call, so each matrix equals that call's bit for bit.
+    """
+    if isinstance(model, ChainModel) or np.ndim(delta) == 0:
+        cm = _as_model(model, delta)
+        name, d = cm.name, cm.delta
+    else:
+        name = str(model)
+        d = np.asarray(delta, dtype=float)
+        if d.ndim != 1:
+            raise ValidationError(f"expected one coupling or a 1-D grid, got shape {d.shape}")
+        _check_model(name, d.tolist())
+        d = d[:, None, None]
+    h = np.zeros(np.shape(d)[:1] + (8, 8), dtype=complex)
+    for role, sign, s in _TERMS[name]:
+        h += (sign if role == "unit" else sign * d) * _PAULI_TABLE[s]
     return h
 
 
@@ -138,21 +161,25 @@ def eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each eigenvector's phase is fixed by making its largest-magnitude
     component real and positive, so repeated runs on the same machine give
-    identical output.
+    identical output. A (P, 8, 8) stack gives (P, 8) eigenvalues and
+    (P, 8, 8) eigenvectors from one solver call, each matrix's equal bit for
+    bit to its one-matrix call.
     """
     h = np.asarray(h, dtype=complex)
-    if h.shape != (8, 8):
-        raise ValidationError(f"expected an 8 x 8 matrix, got shape {h.shape}")
+    if h.ndim not in (2, 3) or h.shape[-2:] != (8, 8):
+        raise ValidationError(
+            f"expected an 8 x 8 matrix or a (P, 8, 8) stack, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise ValidationError("matrix has non-finite entries")
-    if np.max(np.abs(h - h.conj().T)) > 1e-10:
+    if np.abs(h - h.swapaxes(-1, -2).conj()).max(initial=0.0) > 1e-10:
         raise ValidationError("matrix is not Hermitian within 1e-10")
     try:
-        evals, vecs = np.linalg.eigh(h)
+        evals, vecs = np.linalg.eigh(h.reshape(-1, 8, 8))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from None
-    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(8)]
-    return evals, vecs * (np.conj(lead) / _abs(lead))
+    lead = vecs[np.arange(len(vecs))[:, None], np.argmax(np.abs(vecs), axis=1), _EIGHT]
+    vecs = vecs * (np.conj(lead) / _abs(lead))[:, None, :]
+    return (evals, vecs) if h.ndim == 3 else (evals[0], vecs[0])
 
 
 def _ab(d: float) -> tuple[float, float]:
@@ -553,23 +580,26 @@ def _eigen_label(image: np.ndarray, amps: np.ndarray, tol: float,
     return out.tolist()
 
 
-def symmetry_label_rows(amps: np.ndarray, tol: float = 1e-9) -> list[SymmetryLabels]:
-    """SymmetryLabels of each row of an (n, 8) amplitude array."""
+def symmetry_label_rows(amps: np.ndarray, tol: float = 1e-9) -> dict[str, list]:
+    """The symmetry labels of each row of an (n, 8) amplitude array, as one
+    list per SymmetryLabels field, keyed by the field's name."""
     amps = np.asarray(amps, dtype=complex).reshape(-1, 8)
     t = amps.reshape(-1, 2, 2, 2)
     shifted = np.transpose(t, (0, 3, 1, 2)).reshape(-1, 8)
     mirrored = np.transpose(t, (0, 3, 2, 1)).reshape(-1, 8)
-    k = _eigen_label(shifted, amps, tol, _K_PHASES, (0, 1, 2))
-    p = _eigen_label(amps[:, ::-1], amps, tol)
-    m_z = _eigen_label(_MZ_DIAG * amps, amps, tol, (3, 1, -1, -3))
-    refl = _eigen_label(mirrored, amps, tol)
-    zflip = _eigen_label(_ZFLIP_DIAG * amps, amps, tol)
-    return [SymmetryLabels(*row) for row in zip(k, p, m_z, refl, zflip)]
+    return {
+        "k": _eigen_label(shifted, amps, tol, _K_PHASES, (0, 1, 2)),
+        "p": _eigen_label(amps[:, ::-1], amps, tol),
+        "m_z": _eigen_label(_MZ_DIAG * amps, amps, tol, (3, 1, -1, -3)),
+        "refl": _eigen_label(mirrored, amps, tol),
+        "zflip": _eigen_label(_ZFLIP_DIAG * amps, amps, tol),
+    }
 
 
 def symmetry_labels(s: PureState3, tol: float = 1e-9) -> SymmetryLabels:
     """The symmetry labels of one state: one row of symmetry_label_rows."""
-    return symmetry_label_rows(s.amp[None, :], tol)[0]
+    cols = symmetry_label_rows(s.amp[None, :], tol)
+    return SymmetryLabels(**{f: col[0] for f, col in cols.items()})
 
 
 def degenerate_bloch_family(model, n: int, params: SuperpositionParams) -> BlochTriple:
@@ -580,8 +610,7 @@ def degenerate_bloch_family(model, n: int, params: SuperpositionParams) -> Bloch
     closed Bloch form and is rejected.
     """
     name = model.name if isinstance(model, ChainModel) else str(model)
-    if name not in MODELS:
-        raise UnknownModel(f"model must be one of {MODELS}, got {name!r}")
+    _check_model(name)
     n = _check_level(name, n)
     family = _DEG_FAMILY.get((name, n))
     if family is None:
@@ -615,28 +644,30 @@ def degenerate_bloch_family(model, n: int, params: SuperpositionParams) -> Bloch
 
 
 @dataclass(frozen=True)
-class SweepRecord:
-    """One output row of a coupling sweep."""
+class SweepTable:
+    """The rows of a coupling sweep as columns: one tuple per field, each as
+    long as the table (its len())."""
 
-    delta: float
-    n: int
-    energy_numeric: float
-    energy_closed: float | None
-    multiplicity: int
-    k: int | None
-    p: int | None
-    m_z: int | None
-    tau_numeric: float
-    tau_closed: float | None
-    r_a: float
-    r_b: float
-    r_c: float
-    crossing_flag: bool
+    delta: tuple[float, ...]
+    n: tuple[int, ...]
+    energy_numeric: tuple[float, ...]
+    energy_closed: tuple[float | None, ...]
+    multiplicity: tuple[int, ...]
+    k: tuple[int | None, ...]
+    p: tuple[int | None, ...]
+    m_z: tuple[int | None, ...]
+    tau_numeric: tuple[float, ...]
+    tau_closed: tuple[float | None, ...]
+    r_a: tuple[float, ...]
+    r_b: tuple[float, ...]
+    r_c: tuple[float, ...]
+    crossing_flag: tuple[bool, ...]
+
+    def __len__(self) -> int:
+        return len(self.delta)
 
 
-SWEEP_FIELDS = ("delta", "n", "energy_numeric", "energy_closed", "multiplicity",
-                "k", "p", "m_z", "tau_numeric", "tau_closed",
-                "r_a", "r_b", "r_c", "crossing_flag")
+SWEEP_FIELDS = tuple(f.name for f in fields(SweepTable))
 
 _MC_MEMBERS = 40
 
@@ -684,54 +715,40 @@ def _family_members(size: int, policy: str, rng: np.random.Generator) -> np.ndar
     return _draw_members(size, _MC_MEMBERS, rng)
 
 
-def _sweep_point(name: str, d: float, policy: str, perturb: float,
-                 seed: int, index: int) -> list[SweepRecord]:
-    h = build_hamiltonian(name, d)
-    spectrum = closed_form_spectrum(name, d)
-    sorted_e = sorted(e for e, _ in spectrum)
-    crossing = any(b - a <= GAP_TOL for a, b in zip(sorted_e, sorted_e[1:]))
-    if perturb != 0.0:
-        evals, vecs = eigensystem(h + perturb * _PAULI_TABLE["ZII"])
-        amps = vecs.T
-        group = np.sum(np.abs(evals - evals[:, None]) <= GAP_TOL, axis=1)
-        # per row: n, energy_numeric, energy_closed, multiplicity, tau_closed
-        meta = [(j, e, None, g, None)
-                for j, (e, g) in enumerate(zip(evals.tolist(), group.tolist()))]
-    else:
-        evals, _ = eigensystem(h)
-        rng = np.random.default_rng([seed, index])
-        taken = np.zeros(8, dtype=bool)
-        blocks, meta = [], []
-        for n, (e_closed, mult) in enumerate(spectrum):
-            free = np.flatnonzero(~taken)
-            order = free[np.argsort(np.abs(evals[free] - e_closed), kind="stable")]
-            chosen = order[:mult]
-            taken[chosen] = True
-            worst = float(np.max(np.abs(evals[chosen] - e_closed)))
-            if worst > GAP_TOL:
-                raise NumericalError(
-                    f"{name} level {n} at delta = {d}: closed energy {e_closed} "
-                    f"misses the numeric spectrum by {worst:.3e}"
-                )
-            e_num = float(np.mean(evals[chosen]))
-            family = _DEG_FAMILY.get((name, n))
-            coeffs = None if family is None else _family_members(len(family[0]), policy, rng)
-            blocks.append(_level_members(name, n, d, coeffs))
-            meta += [(n, e_num, e_closed, mult, t)
-                     for t in _level_tangles(name, n, d, coeffs).tolist()]
-        amps = np.concatenate(blocks)
-    _check_norms(amps)
-    r, c, hdet = invariants(amps)
-    tau = 4.0 * np.abs(hdet)
-    check_monogamy(r, c, tau)
-    return [SweepRecord(d, n, e_num, e_closed, mult, lab.k, lab.p, lab.m_z, t, tau_cl,
-                        ra, rb, rc, crossing)
-            for (n, e_num, e_closed, mult, tau_cl), lab, t, (ra, rb, rc)
-            in zip(meta, symmetry_label_rows(amps), tau.tolist(), r.tolist())]
+def _closed_point(name: str, d: float, spectrum, evals: np.ndarray, policy: str,
+                  rng: np.random.Generator, cols: dict[str, list]) -> np.ndarray:
+    """The (m, 8) closed-form members of one unperturbed grid point, each
+    level paired with its numeric energies; appends each member's n,
+    energy_numeric, energy_closed, multiplicity and tau_closed to cols."""
+    taken = np.zeros(8, dtype=bool)
+    blocks = []
+    for n, (e_closed, mult) in enumerate(spectrum):
+        free = np.flatnonzero(~taken)
+        order = free[np.argsort(np.abs(evals[free] - e_closed), kind="stable")]
+        chosen = order[:mult]
+        taken[chosen] = True
+        worst = float(np.max(np.abs(evals[chosen] - e_closed)))
+        if worst > GAP_TOL:
+            raise NumericalError(
+                f"{name} level {n} at delta = {d}: closed energy {e_closed} "
+                f"misses the numeric spectrum by {worst:.3e}"
+            )
+        e_num = float(np.mean(evals[chosen]))
+        family = _DEG_FAMILY.get((name, n))
+        coeffs = None if family is None else _family_members(len(family[0]), policy, rng)
+        blocks.append(_level_members(name, n, d, coeffs))
+        taus = _level_tangles(name, n, d, coeffs).tolist()
+        m = len(taus)
+        cols["n"] += [n] * m
+        cols["energy_numeric"] += [e_num] * m
+        cols["energy_closed"] += [e_closed] * m
+        cols["multiplicity"] += [mult] * m
+        cols["tau_closed"] += taus
+    return np.concatenate(blocks)
 
 
 def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
-          seed: int = 0) -> list[SweepRecord]:
+          seed: int = 0) -> SweepTable:
     """Evaluate every level over a coupling grid.
 
     Unperturbed sweeps pair each closed-form level with its numeric energy
@@ -741,10 +758,13 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
     members, and four-fold spaces always draw randomly). With perturb set,
     the rows describe the eigenvectors of H + perturb * Z on site 0 instead
     and the closed-form columns are left empty.
+
+    The grid's Hamiltonians are diagonalized as one stack and the symmetry
+    labels read in one call; each grid point's members are checked and
+    measured as one batch of their own.
     """
     name = model.name if isinstance(model, ChainModel) else str(model)
-    if name not in MODELS:
-        raise UnknownModel(f"model must be one of {MODELS}, got {name!r}")
+    _check_model(name)
     if params_policy not in ("grid", "mc"):
         raise ValidationError(f"params_policy must be grid or mc, got {params_policy!r}")
     if not np.isfinite(perturb):
@@ -752,5 +772,42 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
     grid = [float(d) for d in delta_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError("delta grid must be strictly increasing")
-    return [rec for i, d in enumerate(grid)
-            for rec in _sweep_point(name, d, params_policy, float(perturb), int(seed), i)]
+    if not grid:
+        return SweepTable(*[()] * len(SWEEP_FIELDS))
+    perturb = float(perturb)
+    h = build_hamiltonian(name, grid)
+    if perturb != 0.0:
+        h = h + perturb * _PAULI_TABLE["ZII"]
+    evals, vecs = eigensystem(h)
+    cols: dict[str, list] = {f: [] for f in SWEEP_FIELDS}
+    if perturb != 0.0:
+        cols["n"] = list(range(8)) * len(grid)
+        cols["energy_numeric"] = evals.reshape(-1).tolist()
+        cols["energy_closed"] = cols["tau_closed"] = [None] * (8 * len(grid))
+        group = np.abs(evals[:, :, None] - evals[:, None, :]) <= GAP_TOL
+        cols["multiplicity"] = group.sum(axis=2).reshape(-1).tolist()
+    blocks, r_blocks, tau_blocks = [], [], []
+    for i, d in enumerate(grid):
+        spectrum = closed_form_spectrum(name, d)
+        sorted_e = sorted(e for e, _ in spectrum)
+        crossing = any(b - a <= GAP_TOL for a, b in zip(sorted_e, sorted_e[1:]))
+        if perturb != 0.0:
+            amps = vecs[i].T
+        else:
+            rng = np.random.default_rng([int(seed), i])
+            amps = _closed_point(name, d, spectrum, evals[i], params_policy, rng, cols)
+        _check_norms(amps)
+        r, c, hdet = invariants(amps)
+        tau = 4.0 * np.abs(hdet)
+        check_monogamy(r, c, tau)
+        blocks.append(amps)
+        r_blocks.append(r)
+        tau_blocks.append(tau)
+        cols["delta"] += [d] * len(amps)
+        cols["crossing_flag"] += [crossing] * len(amps)
+    labels = symmetry_label_rows(np.concatenate(blocks))
+    for f in ("k", "p", "m_z"):
+        cols[f] = labels[f]
+    cols["tau_numeric"] = np.concatenate(tau_blocks).tolist()
+    cols["r_a"], cols["r_b"], cols["r_c"] = np.concatenate(r_blocks).T.tolist()
+    return SweepTable(**{f: tuple(col) for f, col in cols.items()})

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
-import operator
 import os
 import sys
 
@@ -74,18 +74,28 @@ def _jval(x):
     return x
 
 
-def _columns(header: tuple[str, ...], rows: list[tuple]) -> list[list[str]]:
+def _columns(header: tuple[str, ...], columns) -> list[list[str]]:
     """Per column, its name and then its formatted cells."""
-    return [[name, *_column(col)]
-            for name, col in zip(header, list(zip(*rows)) or [()] * len(header))]
+    return [[name, *_column(col)] for name, col in zip(header, columns)]
 
 
-def _table(header: tuple[str, ...], rows: list[tuple], fmt: str) -> str:
+def _plain_csv(cols: list[list[str]]) -> bool:
+    """Whether csv.writer would write every cell as it is: a table of two or
+    more columns with no cell holding a delimiter, a quote or a line break."""
+    text = "".join(map("".join, cols))
+    return len(cols) > 1 and not any(ch in text for ch in ',"\r\n')
+
+
+def _table(header: tuple[str, ...], columns, fmt: str) -> str:
+    """A table given as one sequence of values per header name."""
     if fmt == "json":
-        payload = [dict(zip(header, map(_jval, row))) for row in rows]
+        jcols = [list(map(_jval, col)) for col in columns]
+        payload = [dict(zip(header, row)) for row in zip(*jcols)]
         return json.dumps(payload, indent=2) + "\n"
-    cols = _columns(header, rows)
+    cols = _columns(header, columns)
     if fmt == "csv":
+        if _plain_csv(cols):
+            return "\n".join(map(",".join, zip(*cols))) + "\n"
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(zip(*cols))
         return buf.getvalue()
@@ -98,10 +108,11 @@ def _record(header: tuple[str, ...], row: tuple, fmt: str) -> str:
     """Single-record output: one-row table or a flat JSON object."""
     if fmt == "json":
         return json.dumps(dict(zip(header, map(_jval, row))), indent=2) + "\n"
+    columns = [(v,) for v in row]
     if fmt == "csv":
-        return _table(header, [row], "csv")
+        return _table(header, columns, "csv")
     width = max(len(k) for k in header)
-    cells = [col[1] for col in _columns(header, [row])]
+    cells = [col[1] for col in _columns(header, columns)]
     return "".join(f"{k.ljust(width)}  {c}\n" for k, c in zip(header, cells))
 
 
@@ -220,21 +231,22 @@ def _cmd_bounds(args) -> tuple[str, int]:
             f"need 0 <= r-min <= r-max, got {args.r_min}, {args.r_max}")
     r = np.linspace(args.r_min, args.r_max, args.points)
     cols = [r] + [polytope.bound_curve(kind, r) for kind in polytope.CURVE_KINDS]
-    return _table(BOUNDS_FIELDS, list(zip(*(c.tolist() for c in cols))), args.format), 0
+    return _table(BOUNDS_FIELDS, [c.tolist() for c in cols], args.format), 0
 
 
 def _cmd_sample(args) -> tuple[str, int]:
     if args.n < 1:
         raise ValidationError(f"n must be >= 1, got {args.n}")
     kinds = polytope.COARSE_TYPES if args.type == "all" else (args.type,)
-    rows = []
+    labels, blocks = [], []
     for i, kind in enumerate(kinds):
         sub = int(np.random.default_rng([args.seed, i]).integers(1 << 32))
         amps = qstate._sample_type_batch(kind, args.n, sub)
         r, _, hdet = entanglement.invariants(amps)
-        cols = (*r.T, polytope.big_r(r), 4.0 * np.abs(hdet), polytope.dist_to_diagonal(r))
-        rows.extend((kind, *row) for row in zip(*(c.tolist() for c in cols)))
-    return _table(SAMPLE_FIELDS, rows, args.format), 0
+        labels += [kind] * args.n
+        blocks.append(np.column_stack((r, polytope.big_r(r), 4.0 * np.abs(hdet),
+                                       polytope.dist_to_diagonal(r))))
+    return _table(SAMPLE_FIELDS, [labels, *np.concatenate(blocks).T.tolist()], args.format), 0
 
 
 def _cmd_sweep(args) -> tuple[str, int]:
@@ -242,10 +254,10 @@ def _cmd_sweep(args) -> tuple[str, int]:
         raise ValidationError(f"points must be >= 1, got {args.points}")
     _require_finite(delta_min=args.delta_min, delta_max=args.delta_max)
     grid = [float(d) for d in np.linspace(args.delta_min, args.delta_max, args.points)]
-    records = chains.sweep(args.model, grid, params_policy=args.params_policy,
-                           perturb=args.perturb, seed=args.seed)
-    rows = list(map(operator.attrgetter(*chains.SWEEP_FIELDS), records))
-    return _table(chains.SWEEP_FIELDS, rows, args.format), 0
+    table = chains.sweep(args.model, grid, params_policy=args.params_policy,
+                         perturb=args.perturb, seed=args.seed)
+    columns = [getattr(table, f) for f in chains.SWEEP_FIELDS]
+    return _table(chains.SWEEP_FIELDS, columns, args.format), 0
 
 
 def _cmd_verify(args) -> tuple[str, int]:
@@ -257,8 +269,8 @@ def _cmd_verify(args) -> tuple[str, int]:
         n_ok = sum(r.passed for r in results)
         lines.append(f"passed {n_ok}/{len(results)} checks (seed {args.seed})")
         return "\n".join(lines) + "\n", code
-    rows = [(r.name, r.passed, r.detail, r.seed) for r in results]
-    return _table(VERIFY_FIELDS, rows, args.format), code
+    columns = [[getattr(r, f) for r in results] for f in VERIFY_FIELDS]
+    return _table(VERIFY_FIELDS, columns, args.format), code
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +369,15 @@ _DISPATCH = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads every command line with, built once."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -17,6 +17,7 @@ from triqent import (
     OutOfDomain,
     PureState3,
     SuperpositionParams,
+    SymmetryLabels,
     UnknownModel,
     UnsupportedType,
     ValidationError,
@@ -39,6 +40,7 @@ from triqent import (
     tangle,
 )
 from triqent.chains import (
+    DELTA_RANGES,
     GAP_TOL,
     _DEG_FAMILY,
     _draw_members,
@@ -125,6 +127,49 @@ def test_eigensystem_refuses_non_finite_matrices(h):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError):
             eigensystem(h)
+
+
+def _bits(x) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_stacked_calls_equal_their_one_coupling_calls(name):
+    grid = np.linspace(*DELTA_RANGES[name], 2000)
+    probe = 1e-3 * pauli_string("ZII")
+    stack = build_hamiltonian(name, grid)
+    one = np.array([build_hamiltonian(name, float(d)) for d in grid])
+    assert stack.shape == (2000, 8, 8)
+    assert np.array_equal(_bits(stack), _bits(one))
+    for hs in (stack, stack + probe):
+        evals, vecs = eigensystem(hs)
+        pairs = [eigensystem(h) for h in hs]
+        assert np.array_equal(_bits(evals), _bits(np.array([e for e, _ in pairs])))
+        assert np.array_equal(_bits(vecs), _bits(np.array([v for _, v in pairs])))
+
+
+def test_a_bad_matrix_or_coupling_anywhere_in_a_stack_is_refused():
+    hs = build_hamiltonian("xzx", np.linspace(0.0, 2.0, 50))
+    nan = hs.copy()
+    nan[17] = np.nan
+    skew = hs.copy()
+    skew[31, 0, 5] += 1e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad, why in ((nan, "non-finite"), (skew, "not Hermitian")):
+            with pytest.raises(ValidationError, match=why):
+                eigensystem(bad)
+    with pytest.raises(ValidationError):
+        eigensystem(hs[:, :, :4])
+    with pytest.raises(ValidationError):
+        build_hamiltonian("tfim", [[0.5]])
+    with pytest.raises(OutOfDomain, match="-0.001"):
+        build_hamiltonian("tfim", [0.0, 0.5, -1e-3, 1.0])
+    with pytest.raises(OutOfDomain, match="nan"):
+        build_hamiltonian("xxx", [-1.0, np.nan])
+    with pytest.raises(OutOfDomain):
+        sweep("tfim", [-0.2, 0.5])
+    assert build_hamiltonian("xxx", [-1.3, 0.4]).shape == (2, 8, 8)
 
 
 def test_merge_levels_sorts_and_fuses():
@@ -441,10 +486,12 @@ def test_batch_labels_match_the_per_state_labels():
     states += [closed_form_eigenstate("xxx", 1, 0.3, _random_params(2, rng)),
                closed_form_eigenstate("xzx", 4, 1.3)]
     states += [haar_state(rng) for _ in range(4)]
-    rows = symmetry_label_rows(np.array([s.amp for s in states]))
+    cols = symmetry_label_rows(np.array([s.amp for s in states]))
+    assert tuple(cols) == ("k", "p", "m_z", "refl", "zflip")
+    rows = [SymmetryLabels(*row) for row in zip(*cols.values())]
     assert rows == [symmetry_labels(s) for s in states]
-    for field in ("k", "p", "m_z", "refl", "zflip"):
-        seen = {getattr(lab, field) for lab in rows}
+    for field, col in cols.items():
+        seen = set(col)
         assert None in seen and len(seen) >= 3, field
 
 
@@ -504,25 +551,22 @@ def test_sweep_rows_are_reproducible_and_complete():
     first = sweep("tfim", grid, params_policy="mc", seed=5)
     again = sweep("tfim", grid, params_policy="mc", seed=5)
     assert first == again
-    for rec in first:
-        for f in SWEEP_FIELDS:
-            assert hasattr(rec, f)
-    assert sorted({rec.delta for rec in first}) == grid
+    for f in SWEEP_FIELDS:
+        assert len(getattr(first, f)) == len(first)
+    assert sorted(set(first.delta)) == grid
 
 
 def test_sweep_crossing_flags():
-    recs = sweep("tfim", [0.0, 0.3, 1.0, 2.0], params_policy="grid", seed=0)
-    flagged = sorted({rec.delta for rec in recs if rec.crossing_flag})
+    table = sweep("tfim", [0.0, 0.3, 1.0, 2.0], params_policy="grid", seed=0)
+    flagged = sorted({d for d, flag in zip(table.delta, table.crossing_flag) if flag})
     assert flagged == [0.0, 1.0]
 
 
 def test_perturbed_sweep_drops_closed_columns():
-    recs = sweep("xx", [0.3, 0.8], perturb=1e-3, seed=2)
-    assert len(recs) == 16
-    for rec in recs:
-        assert rec.energy_closed is None
-        assert rec.tau_closed is None
-        assert rec.tau_numeric is not None
+    table = sweep("xx", [0.3, 0.8], perturb=1e-3, seed=2)
+    assert len(table) == 16
+    assert table.energy_closed == table.tau_closed == (None,) * 16
+    assert None not in table.tau_numeric
 
 
 def test_sweep_validation():

@@ -1,15 +1,17 @@
 """End-to-end checks of the command line front end, run in process."""
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from triqent import chains
-from triqent.cli import _record, _table, main
+from triqent import chains, cli
+from triqent.cli import _columns, _record, _table, main
 from triqent.polytope import COARSE_TYPES
 
 
@@ -302,6 +304,14 @@ GOLDEN = {
         "9429e61233333a9f546d496f4b18e3e56648cd037bcac78109eea857a7b23f51",
     "bounds":
         "09b1b6f77d0a60de9d68fc78a4e51edbf6e05397259defbe7fae6999e36f2e86",
+    # taken before a sweep's grid was diagonalized as one stack: 1,600 rows,
+    # 7,200 rows, and detail cells that hold commas
+    "sweep --model xx --delta-min 0.3 --delta-max 1.9 --points 200 --perturb 0.004 --seed 3":
+        "749f70493ca95aab8813570da104f2392238c96d848d5e1926561e2f235635f3",
+    "sweep --model xxx --delta-min -2 --delta-max 2 --points 60 --params-policy mc --seed 5":
+        "57455a15f16de904da4f166347c5b151783038b15f78472290b5927316268940",
+    "verify --check sweep-determinism --check chain-spectra --format csv":
+        "67be41ba7bf3e4de5c075b85b24ccb231f0e858aee72a9744f17d8e4091f7b39",
 }
 
 
@@ -355,10 +365,10 @@ CELLS = [
 @pytest.mark.parametrize("value, csv_cell, text_cell", CELLS)
 def test_cells_are_formatted_by_type(value, csv_cell, text_cell):
     header = ("name", "value")
-    assert _table(header, [("a", value)], "csv") == f"name,value\na,{csv_cell}\n"
+    assert _table(header, [("a",), (value,)], "csv") == f"name,value\na,{csv_cell}\n"
     assert _record(header, ("a", value), "csv") == f"name,value\na,{csv_cell}\n"
     width = max(5, len(text_cell))
-    assert _table(header, [("a", value)], "text") == (
+    assert _table(header, [("a",), (value,)], "text") == (
         f"name  {'value'.ljust(width)}".rstrip() + "\n"
         + f"a     {text_cell.ljust(width)}".rstrip() + "\n")
     assert _record(header, ("a", value), "text") == f"name   a\nvalue  {text_cell}\n"
@@ -368,9 +378,51 @@ def test_a_column_is_formatted_as_a_whole():
     header = ("x", "k", "flag", "mixed")
     rows = [(0.5, 3, True, 1), (None, None, np.bool_(False), 2.5),
             (float("nan"), np.int64(3), None, "s"), (-0.0, 1, True, None)]
-    assert _table(header, rows, "csv") == (
+    columns = list(zip(*rows))
+    assert _table(header, columns, "csv") == (
         "x,k,flag,mixed\n0.5,3,1,1\n,,0,2.5\n,3,,s\n-0,1,1,\n")
-    assert _table(header, rows, "text") == (
+    assert _table(header, columns, "text") == (
         "x    k  flag  mixed\n0.5  3  1     1\n        0     2.5\n     3        s\n"
         "-0   1  1\n")
-    assert _table(header, [], "csv") == "x,k,flag,mixed\n"
+    assert _table(header, [()] * 4, "csv") == "x,k,flag,mixed\n"
+
+
+@pytest.mark.parametrize("columns", [
+    [("a,b", "x"), (1.0, 2.0)],
+    [('say "hi"', "y"), (1, 2)],
+    [("line\nbreak", "z"), (None, 0.5)],
+    [("carriage\rreturn", "z"), (True, False)],
+    [("", "q"), (None, 1.5)],
+    [(" lead", "trail "), (3, -4)],
+    [("plain", "cells"), (0.25, None)],
+    [("only",)],
+    [("",)],
+    [(None, 1.0)],
+], ids=["comma", "quote", "newline", "return", "empty", "spaces", "plain",
+        "one-column", "one-empty-cell", "one-column-none"])
+def test_csv_tables_equal_the_csv_module_output(columns):
+    header = ("c0", "c1")[:len(columns)]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(zip(*_columns(header, columns)))
+    assert _table(header, columns, "csv") == buf.getvalue()
+
+
+def test_the_cached_parser_reads_like_a_fresh_one(capsys):
+    argvs = [
+        ["classify", "--state", "w"],
+        ["sweep", "--model", "xx", "--delta-min", "0", "--delta-max", "1", "--points", "2"],
+        ["sweep", "--model", "bogus", "--delta-min", "0", "--delta-max", "1"],
+        ["verify", "--check", "normalize-phase", "--check", "tangle-anchors"],
+        ["no-such-verb"],
+        ["sample", "--type", "3b", "--n", "2", "--format", "json"],
+        ["bounds", "--points", "3", "--format", "text"],
+        ["sweep", "--help"],
+        ["verify", "--check", "normalize-phase"],
+    ]
+    cached = [run(capsys, *argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in cached] == [0, 0, 2, 0, 2, 0, 0, 0, 0]
+    assert cached == fresh
