@@ -716,7 +716,7 @@ def _family_members(size: int, policy: str, rng: np.random.Generator) -> np.ndar
 
 
 def _closed_point(name: str, d: float, spectrum, evals: np.ndarray, policy: str,
-                  rng: np.random.Generator, cols: dict[str, list]) -> np.ndarray:
+                  rng: np.random.Generator | None, cols: dict[str, list]) -> np.ndarray:
     """The (m, 8) closed-form members of one unperturbed grid point, each
     level paired with its numeric energies; appends each member's n,
     energy_numeric, energy_closed, multiplicity and tau_closed to cols."""
@@ -786,6 +786,10 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
         cols["energy_closed"] = cols["tau_closed"] = [None] * (8 * len(grid))
         group = np.abs(evals[:, :, None] - evals[:, None, :]) <= GAP_TOL
         cols["multiplicity"] = group.sum(axis=2).reshape(-1).tolist()
+    # a point draws members only where _family_members does not take the
+    # fixed grid lattice
+    draws = not all(params_policy == "grid" and len(family[0]) == 2
+                    for (m, _), family in _DEG_FAMILY.items() if m == name)
     blocks, r_blocks, tau_blocks = [], [], []
     for i, d in enumerate(grid):
         spectrum = closed_form_spectrum(name, d)
@@ -794,7 +798,7 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
         if perturb != 0.0:
             amps = vecs[i].T
         else:
-            rng = np.random.default_rng([int(seed), i])
+            rng = np.random.default_rng([int(seed), i]) if draws else None
             amps = _closed_point(name, d, spectrum, evals[i], params_policy, rng, cols)
         _check_norms(amps)
         r, c, hdet = invariants(amps)

@@ -18,7 +18,7 @@ from .qstate import QUBITS, PureState3
 PAIRS = ("AB", "AC", "BC")
 
 _REDUCE_SPEC = {"A": "ajk,bjk->ab", "B": "jak,jbk->ab", "C": "jka,jkb->ab"}
-_PAIR_SPEC = {"AB": "ijc,klc->ijkl", "AC": "ibk,jbl->ikjl", "BC": "aik,ajl->ikjl"}
+_PAIR_SPEC = {"AB": "nijc,nklc->nijkl", "AC": "nibk,njbl->nikjl", "BC": "naik,najl->nikjl"}
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SY, _SY).real
@@ -95,9 +95,10 @@ def concurrence_one_vs_rest(s: PureState3, qubit: str) -> float:
     return float(np.sqrt(max(0.0, 1.0 - r * r)))
 
 
-def _pair_rho(s: PureState3, pair: str) -> np.ndarray:
-    t = s.tensor
-    return np.einsum(_PAIR_SPEC[pair], t, t.conj()).reshape(4, 4)
+def _pair_rho(amps: np.ndarray, pair: str) -> np.ndarray:
+    """The pair's two-qubit reduced density of each (n, 8) row, (n, 4, 4)."""
+    t = amps.reshape(-1, 2, 2, 2)
+    return np.einsum(_PAIR_SPEC[pair], t, t.conj()).reshape(-1, 4, 4)
 
 
 def concurrence_pair(s: PureState3, pair: str) -> float:

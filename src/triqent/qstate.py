@@ -39,7 +39,10 @@ class PureState3:
 
     def __post_init__(self):
         amp = _amps8(self.amp)
-        n = float(np.linalg.norm(amp))
+        # np.linalg.norm's arithmetic for a complex vector, without its
+        # argument handling
+        re, im = amp.real, amp.imag
+        n = math.sqrt(re.dot(re) + im.dot(im))
         # written so that a NaN norm (from NaN or inf amplitudes) fails too
         if not abs(n - 1.0) <= NORM_TOL:
             raise BadNormalization(f"state norm {n} deviates from 1 beyond {NORM_TOL}")
@@ -128,18 +131,23 @@ def _check_norms(amps: np.ndarray) -> None:
         raise BadNormalization(f"state norm {norms[bad][0]} deviates from 1 beyond {NORM_TOL}")
 
 
-def _amp_rows(raw) -> np.ndarray:
-    """raw as (n, 8) complex amplitude rows, each finite with norm 1 within
-    NORM_TOL; ValidationError (BadNormalization for a norm) otherwise."""
+def _rows8(raw) -> np.ndarray:
+    """raw as C-contiguous (n, 8) complex rows; ValidationError otherwise."""
     try:
         arr = np.asarray(raw)
     except ValueError:  # ragged
         arr = None
     if arr is None or arr.dtype.kind not in "biufc" or arr.shape[1:] != (8,) or arr.ndim != 2:
         raise ValidationError("amplitude rows must be an (n, 8) array of complex numbers")
+    return np.ascontiguousarray(arr, dtype=complex)
+
+
+def _amp_rows(raw) -> np.ndarray:
+    """raw as (n, 8) complex amplitude rows, each finite with norm 1 within
+    NORM_TOL; ValidationError (BadNormalization for a norm) otherwise."""
+    arr = _rows8(raw)
     if not np.isfinite(arr).all():
         raise ValidationError("amplitudes must be finite")
-    arr = arr.astype(complex, copy=False)
     _check_norms(arr)
     return arr
 
@@ -155,42 +163,72 @@ def _amps8(raw) -> np.ndarray:
     return arr.reshape(8)
 
 
-def _phase_fix(amp: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the first significant amplitude is real >= 0."""
-    for a in amp:
-        if abs(a) > _PHASE_REF:
-            return amp * (np.conj(a) / abs(a))
-    return amp
+def normalize_rows(raw) -> np.ndarray:
+    """Unit rows with normalize's phase convention, shape (n, 8).
+
+    Each row is divided by its 2-norm and its global phase rotated so the
+    first amplitude above 1e-12 in magnitude (lexicographic order) is real
+    and non-negative. Row i is normalize(raw[i]).amp bit for bit: the norm
+    is the BLAS dot of the real and imaginary parts, as np.linalg.norm
+    computes it for one row, and magnitudes are hypot, as abs() of a complex
+    scalar computes them. A row with a non-finite amplitude raises
+    ValidationError and a row with every amplitude below 1e-15 ZeroVector.
+    """
+    arr = _rows8(raw)
+    big = np.abs(arr.view(float)).max(axis=1, keepdims=True)
+    # |z| is at least the larger of |Re z| and |Im z|, so only rows whose
+    # parts are all below 1e-15 can be zero rows
+    if len(arr) and not (big.min() >= _ZERO_AMP and big.max() < np.inf):
+        if not np.isfinite(big).all():
+            raise ValidationError("amplitudes must be finite")
+        zero = (np.abs(arr) < _ZERO_AMP).all(axis=1)
+        if zero.any():
+            raise ZeroVector(f"all amplitudes of row {zero.argmax()} are below "
+                             "1e-15 in magnitude")
+    # scaling by the power of two frexp strips from the largest part is
+    # exact, so the norm cannot overflow and ordinary inputs normalize to
+    # the same bits as without it
+    arr = arr * (np.frexp(big)[0] / big)
+    re, im = arr.real[:, None], arr.imag[:, None]
+    # a (1, 8) @ (8, 1) product per row is one BLAS dot, like norm's
+    arr /= np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
+    # the flat index of each row's first significant amplitude: every unit
+    # row has one
+    mag = np.hypot(arr.real, arr.imag)
+    lead = (mag > _PHASE_REF).argmax(axis=1, keepdims=True)
+    lead += np.arange(0, arr.size, 8)[:, None]
+    arr *= np.conj(arr.reshape(-1)[lead]) / mag.reshape(-1)[lead]
+    return arr
 
 
 def normalize(raw) -> PureState3:
-    """Build a PureState3 from arbitrary amplitudes.
+    """Build a PureState3 from arbitrary amplitudes: one row of
+    normalize_rows.
 
     Divides by the 2-norm and fixes the global phase so the first nonzero
     amplitude (lexicographic order) is real and non-negative.
     """
-    arr = _amps8(raw)
-    big = float(np.abs(arr.view(float)).max())
-    if not math.isfinite(big):
-        raise ValidationError("amplitudes must be finite")
-    if np.all(np.abs(arr) < _ZERO_AMP):
-        raise ZeroVector("all amplitudes are below 1e-15 in magnitude")
-    # scaling by a power of two is exact, so the norm cannot overflow and
-    # ordinary inputs normalize to the same bits as without it
-    arr = arr * 2.0 ** -math.frexp(big)[1]
-    arr = arr / np.linalg.norm(arr)
-    return PureState3(_phase_fix(arr))
+    return PureState3(normalize_rows(_amps8(raw)[None])[0])
+
+
+def _apply_local_rows(amps: np.ndarray, u: np.ndarray, target: str) -> np.ndarray:
+    """Row i of the (n, 8) amplitudes with the 2x2 unitary u[i] applied to
+    the target qubit, normalized; NonUnitary unless every u[i]+ u[i] is the
+    identity within 1e-10."""
+    dev = np.abs(np.conj(u).transpose(0, 2, 1) @ u - np.eye(2)).max(axis=(1, 2))
+    if (dev > 1e-10).any():
+        raise NonUnitary(f"u+u deviates from identity by {dev.max():.3e}")
+    # the target's index leads each (2, 4) matrix, the others keep their order
+    ax = _AXIS[target] + 1
+    t = np.moveaxis(amps.reshape(-1, 2, 2, 2), ax, 1).reshape(-1, 2, 4)
+    t = (u @ t).reshape(-1, 2, 2, 2)
+    return normalize_rows(np.moveaxis(t, 1, ax).reshape(-1, 8))
 
 
 def apply_local_unitary(s: PureState3, lu: LocalUnitary) -> PureState3:
-    """Apply a single-qubit unitary; all entanglement invariants are preserved."""
-    dev = float(np.max(np.abs(lu.u.conj().T @ lu.u - np.eye(2))))
-    if dev > 1e-10:
-        raise NonUnitary(f"u+u deviates from identity by {dev:.3e}")
-    ax = _AXIS[lu.target]
-    t = np.tensordot(lu.u, s.tensor, axes=([1], [ax]))
-    t = np.moveaxis(t, 0, ax)
-    return normalize(t.reshape(8))
+    """Apply a single-qubit unitary, one row of _apply_local_rows; all
+    entanglement invariants are preserved."""
+    return PureState3(_apply_local_rows(s.amp[None], lu.u[None], lu.target)[0])
 
 
 def slice_state(s: PureState3, qubit: str) -> SliceTensors:
@@ -222,11 +260,22 @@ def _haar_amps(n: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _haar_u2_batch(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+def _haar_u2(g: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries from Ginibre matrices g (..., 2, 2): each Q of
+    one stacked QR factorization, times the phases of R's diagonal."""
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (d / np.abs(d))[:, None, :]
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _haar_u2_batch(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-random unitaries per qubit, shape (3, n, 2, 2) in QUBITS order.
+
+    One normal draw holds, qubit after qubit, n real and then n imaginary
+    2x2 parts: the same numbers as three successive draws of n matrices.
+    """
+    x = rng.normal(size=(3, 2, n, 2, 2))
+    return _haar_u2(x[:, 0] + 1j * x[:, 1])
 
 
 # Support patterns over the canonical coefficients (l0, l1, l2, l3, l4) for
@@ -328,11 +377,14 @@ def _sample_type_batch(t: str, n: int, seed) -> np.ndarray:
     for si, support in enumerate(supports):
         mask = pick == si
         k = int(mask.sum())
+        if k == 0:  # an empty draw would take nothing from rng
+            continue
         lam = _draw_lambdas(support, k, rng, lead).astype(complex)
         if 1 in support:
             lam[:, 1] *= np.exp(1j * rng.uniform(0.0, np.pi, size=k))
         amp[np.ix_(mask, _CD_AMP_IDX)] = lam
     t3 = amp.reshape(n, 2, 2, 2)
-    for spec in ("nij,njbc->nibc", "nij,najc->naic", "nij,nabj->nabi"):
-        t3 = np.einsum(spec, _haar_u2_batch(n, rng), t3)
+    specs = ("nij,njbc->nibc", "nij,najc->naic", "nij,nabj->nabi")
+    for spec, u in zip(specs, _haar_u2_batch(n, rng)):
+        t3 = np.einsum(spec, u, t3)
     return t3.reshape(n, 8)

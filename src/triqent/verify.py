@@ -122,8 +122,18 @@ def _state(*pairs: tuple[int, complex]) -> qstate.PureState3:
     return qstate.normalize(vec)
 
 
-def _haar_state(rng: np.random.Generator) -> qstate.PureState3:
-    return qstate.normalize(qstate._haar_amps(1, rng)[0])
+def _haar_rows(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n Haar-random unit rows, shape (n, 8), drawn as n (real, imaginary)
+    pairs: the same numbers and bits as n one-row _haar_amps draws, each
+    passed through normalize."""
+    return _haar_unit(rng.normal(size=(n, 2, 8)))
+
+
+def _haar_unit(x: np.ndarray) -> np.ndarray:
+    """The unit rows of x[:, 0] + i x[:, 1], x of shape (n, 2, 8), divided by
+    their norms as _haar_amps does and then normalized."""
+    v = x[:, 0] + 1j * x[:, 1]
+    return qstate.normalize_rows(v / np.linalg.norm(v, axis=1, keepdims=True))
 
 
 def _seven_invariants(amps: np.ndarray) -> np.ndarray:
@@ -145,17 +155,18 @@ def _expect(exc_type, fn, *args, **kwargs):
 
 @register("normalize-phase", stream=1)
 def _check_normalize_phase(rng: np.random.Generator) -> str:
-    spread = 0.0
-    for _ in range(300):
-        raw = rng.normal(size=8) + 1j * rng.normal(size=8)
-        s = qstate.normalize(raw)
-        assert abs(np.linalg.norm(s.amp) - 1.0) <= 1e-12, "unit norm lost"
-        lead = s.amp[int(np.argmax(np.abs(s.amp) > 1e-12))]
-        assert abs(lead.imag) <= 1e-12 and lead.real >= 0.0, \
-            "leading amplitude is not real non-negative"
-        z = (0.2 + rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        spread = max(spread, float(np.max(np.abs(
-            qstate.normalize(z * raw).amp - s.amp))))
+    # each draw takes a raw row and then its scale and phase from the stream
+    raw, zs = np.empty((300, 8), dtype=complex), np.empty(300, dtype=complex)
+    for i in range(300):
+        raw[i] = rng.normal(size=8) + 1j * rng.normal(size=8)
+        zs[i] = (0.2 + rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+    amps = qstate.normalize_rows(raw)
+    assert float(np.max(np.abs(np.linalg.norm(amps, axis=1) - 1.0))) <= 1e-12, \
+        "unit norm lost"
+    lead = amps[np.arange(300), np.argmax(np.abs(amps) > 1e-12, axis=1)]
+    assert np.all((np.abs(lead.imag) <= 1e-12) & (lead.real >= 0.0)), \
+        "leading amplitude is not real non-negative"
+    spread = float(np.max(np.abs(qstate.normalize_rows(zs[:, None] * raw) - amps)))
     assert spread <= 1e-12, f"representative depends on scale/phase by {spread:.2e}"
     _expect(ZeroVector, qstate.normalize, np.zeros(8))
     return f"300 draws, representative spread {spread:.1e}"
@@ -163,15 +174,19 @@ def _check_normalize_phase(rng: np.random.Generator) -> str:
 
 @register("lu-invariance", stream=2)
 def _check_lu_invariance(rng: np.random.Generator) -> str:
-    worst = 0.0
-    for _ in range(120):
-        s = _haar_state(rng)
-        t = s
-        for q in qstate.QUBITS:
-            u = qstate._haar_u2_batch(1, rng)[0]
-            t = qstate.apply_local_unitary(t, qstate.LocalUnitary(u, q))
-        pair = _seven_invariants(np.array([s.amp, t.amp]))
-        worst = max(worst, float(np.max(np.abs(pair[1] - pair[0]))))
+    # per scramble: a Haar row (8 real, then 8 imaginary parts), then one
+    # Ginibre matrix per qubit (4 real, then 4 imaginary parts)
+    x = rng.normal(size=(120, 40))
+    amps = _haar_unit(x[:, :16].reshape(120, 2, 8))
+    g = x[:, 16:].reshape(120, 3, 2, 2, 2)
+    us = qstate._haar_u2(g[:, :, 0] + 1j * g[:, :, 1])
+    t = amps
+    for i, q in enumerate(qstate.QUBITS):
+        t = qstate._apply_local_rows(t, us[:, i], q)
+    # one call for all 240 rows: invariants gives a row the same bits in any
+    # batch of 2 to 1,365 rows
+    inv = _seven_invariants(np.concatenate([amps, t]))
+    worst = float(np.max(np.abs(inv[120:] - inv[:120])))
     assert worst <= 1e-10, f"local unitaries moved an invariant by {worst:.3e}"
     _expect(ValidationError, qstate.LocalUnitary, np.eye(2), "D")
     return f"120 scrambles, worst invariant shift {worst:.1e}"
@@ -179,8 +194,8 @@ def _check_lu_invariance(rng: np.random.Generator) -> str:
 
 @register("slice-roundtrip", stream=3)
 def _check_slice_roundtrip(rng: np.random.Generator) -> str:
-    for _ in range(80):
-        s = _haar_state(rng)
+    for amp in _haar_rows(rng, 80):
+        s = qstate.PureState3(amp)
         for q in qstate.QUBITS:
             st = qstate.slice_state(s, q)
             assert st.T0.shape == (2, 2) and st.T1.shape == (2, 2)
@@ -208,9 +223,9 @@ def _check_haar_symmetry(rng: np.random.Generator) -> str:
 
 @register("type-sampler", stream=5)
 def _check_type_sampler(rng: np.random.Generator) -> str:
-    for t in canonical.TYPE_KINDS:
-        for _ in range(4):
-            sub = int(rng.integers(1 << 32))
+    subs = rng.integers(1 << 32, size=(len(canonical.TYPE_KINDS), 4)).tolist()
+    for t, kind_subs in zip(canonical.TYPE_KINDS, subs):
+        for sub in kind_subs:
             s = qstate.sample_type(t, sub)
             got = canonical.classify(s).kind
             assert got == t, f"asked for {t}, classified as {got}"
@@ -229,8 +244,8 @@ def _check_type_sampler(rng: np.random.Generator) -> str:
 @register("marginal-spectrum", stream=6)
 def _check_marginal_spectrum(rng: np.random.Generator) -> str:
     worst = 0.0
-    for _ in range(100):
-        s = _haar_state(rng)
+    for amp in _haar_rows(rng, 100):
+        s = qstate.PureState3(amp)
         for q in qstate.QUBITS:
             den = entanglement.reduce_one(s, q)
             assert float(np.max(np.abs(den.rho - den.rho.conj().T))) <= 1e-12
@@ -290,28 +305,26 @@ def _check_tangle_anchors(rng: np.random.Generator) -> str:
     for idx in (3, 5, 6):  # pair Bell states against the third qubit
         assert entanglement.tangle(_state((0, 1.0), (idx, 1.0))) <= 1e-12
     assert entanglement.tangle(_state((0, 1.0))) <= 1e-12
-    lo, hi = 1.0, 0.0
-    for _ in range(200):
-        t = entanglement.tangle(_haar_state(rng))
-        lo, hi = min(lo, t), max(hi, t)
+    r, c, hdet = entanglement.invariants(_haar_rows(rng, 200))
+    tau = 4.0 * np.hypot(hdet.real, hdet.imag)  # abs() of each complex scalar
+    entanglement.check_monogamy(r, c, tau)
+    lo, hi = float(tau.min()), float(tau.max())
     assert 0.0 <= lo and hi <= 1.0, "tangle left [0, 1]"
     return f"anchors exact; 200 Haar tangles in [{lo:.3f}, {hi:.3f}]"
 
 
 @register("concurrence-routes", stream=9)
 def _check_concurrence_routes(rng: np.random.Generator) -> str:
-
-    def eig_route(s: qstate.PureState3, pair: str) -> float:
-        rho = entanglement._pair_rho(s, pair)
-        rt = rho @ entanglement._YY @ rho.conj() @ entanglement._YY
-        mu = np.sqrt(np.sort(np.clip(np.linalg.eigvals(rt).real, 0.0, None))[::-1])
-        return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
-
+    amps = _haar_rows(rng, 200)
+    c = entanglement.invariants(amps)[1]
     worst = 0.0
-    for _ in range(200):
-        s = _haar_state(rng)
-        for pair in entanglement.PAIRS:
-            worst = max(worst, abs(entanglement.concurrence_pair(s, pair) - eig_route(s, pair)))
+    for k, pair in enumerate(entanglement.PAIRS):
+        # the Wootters route: sqrt eigenvalues of rho (Y x Y) rho* (Y x Y)
+        rho = entanglement._pair_rho(amps, pair)
+        rt = rho @ entanglement._YY @ rho.conj() @ entanglement._YY
+        mu = np.sqrt(np.sort(np.clip(np.linalg.eigvals(rt).real, 0.0, None))[:, ::-1])
+        eig = np.maximum(0.0, mu[:, 0] - mu[:, 1] - mu[:, 2] - mu[:, 3])
+        worst = max(worst, float(np.max(np.abs(c[:, k] - eig))))
     assert worst <= 1e-7, f"concurrence routes disagree by {worst:.3e}"
     for pair in entanglement.PAIRS:
         assert abs(entanglement.concurrence_pair(_W, pair) - 2.0 / 3.0) <= 1e-12
@@ -328,7 +341,7 @@ def _check_concurrence_routes(rng: np.random.Generator) -> str:
 
 @register("cd-structure", stream=10)
 def _check_cd_structure(rng: np.random.Generator) -> str:
-    amps = np.array([_haar_state(rng).amp for _ in range(300)])
+    amps = _haar_rows(rng, 300)
     cd = canonical.decompose_rows(amps)
     lam = cd.lambdas
     assert float(lam.min()) >= 0.0, "negative canonical coefficient"
@@ -353,7 +366,7 @@ def _check_cd_structure(rng: np.random.Generator) -> str:
 
 @register("cd-roundtrip", stream=11)
 def _check_cd_roundtrip(rng: np.random.Generator, n: int = 800) -> str:
-    amps = np.array([qstate.normalize(a).amp for a in qstate._haar_amps(n, rng)])
+    amps = qstate.normalize_rows(qstate._haar_amps(n, rng))
     cd = canonical.decompose_rows(amps)
     back = canonical._canonical_amps(cd.lambdas, cd.phi)
     worst = float(np.max(np.abs(_seven_invariants(back) - _seven_invariants(amps))))
@@ -427,7 +440,7 @@ def _check_bipyramid_membership(rng: np.random.Generator) -> str:
 
 @register("master-r2", stream=14)
 def _check_master_r2(rng: np.random.Generator) -> str:
-    amps = np.array([_haar_state(rng).amp for _ in range(500)])
+    amps = _haar_rows(rng, 500)
     direct = polytope.big_r(entanglement.invariants(amps)[0])
     from_cf = polytope.big_r_from_cf(canonical.decompose_rows(amps))
     worst = float(np.max(np.abs(direct - from_cf)))
@@ -728,7 +741,7 @@ def _check_symmetry_labels(rng: np.random.Generator) -> str:
     assert (lab.k, lab.zflip) == (0, 1) and lab.m_z is None, f"chain ground labels {lab}"
     s = chains.closed_form_eigenstate("xzx", 5, 0.7)
     assert chains.symmetry_labels(s).k == 0
-    lab = chains.symmetry_labels(_haar_state(rng))
+    lab = chains.symmetry_labels(qstate.PureState3(_haar_rows(rng, 1)[0]))
     assert lab.k is None and lab.p is None and lab.m_z is None, \
         "a generic state acquired symmetry labels"
     return "momentum, parity, and magnetization anchors agree"

@@ -129,8 +129,8 @@ def test_scrambled_tangle_free_states_keep_clean_coefficients():
         lam = _draw_lambdas((0, 2, 3), 1, rng)[0]
         s = reconstruct(CanonicalForm(lambdas=tuple(lam), phi=0.0,
                                       branch="plus"))
-        for q in QUBITS:
-            s = apply_local_unitary(s, LocalUnitary(_haar_u2_batch(1, rng)[0], q))
+        for q, u in zip(QUBITS, _haar_u2_batch(1, rng)[:, 0]):
+            s = apply_local_unitary(s, LocalUnitary(u, q))
         cf = canonical_decompose(s)
         assert cf.degenerate
         assert max(cf.lambdas[1], cf.lambdas[4]) <= 1e-9

@@ -312,6 +312,10 @@ GOLDEN = {
         "57455a15f16de904da4f166347c5b151783038b15f78472290b5927316268940",
     "verify --check sweep-determinism --check chain-spectra --format csv":
         "67be41ba7bf3e4de5c075b85b24ccb231f0e858aee72a9744f17d8e4091f7b39",
+    # the whole battery, taken before normalize and the local unitaries were
+    # batched and the per-state verify loops became batches
+    "verify --seed 0":
+        "64e0b8451f6e5bbc63be340bdee13695752ca5b8a8180ea9656465c5969a1865",
 }
 
 

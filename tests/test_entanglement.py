@@ -92,7 +92,7 @@ def test_pair_concurrence_agrees_with_eigenvalue_route():
     for _ in range(300):
         s = haar_state(rng)
         for pair in PAIRS:
-            rho = _pair_rho(s, pair)
+            rho = _pair_rho(s.amp, pair)[0]
             rt = rho @ _YY @ rho.conj() @ _YY
             mu = np.sqrt(np.sort(np.clip(np.linalg.eigvals(rt).real, 0.0, None))[::-1])
             ref = max(0.0, mu[0] - mu[1] - mu[2] - mu[3])

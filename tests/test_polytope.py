@@ -39,6 +39,7 @@ from triqent import (
     in_stratum,
     lambda3_star,
     membership,
+    normalize_rows,
     reconstruct,
     tau_surface,
 )
@@ -442,6 +443,7 @@ _BAD_VALUE_CALLS = [
         CanonicalForm(lambdas=_CF.lambdas, phi=x, branch="plus"))),
     ("decompose_rows", lambda x: decompose_rows(_with_bad_amp(x))),
     ("classify_rows", lambda x: classify_rows(_with_bad_amp(x))),
+    ("normalize_rows", lambda x: normalize_rows(_with_bad_amp(x))),
     ("classify_rows/tol", lambda x: classify_rows(_AMPS, tol=x)),
     ("classify_rows/cd_tol", lambda x: classify_rows(_AMPS, cd_tol=x)),
     ("classify_rows/negative", lambda x: classify_rows(_AMPS, cd_tol=min(x, -1.0))),
@@ -465,6 +467,10 @@ _BAD_SHAPE_CALLS = [
     ("classify_rows/trailing", lambda: classify_rows(np.zeros((2, 9)))),
     ("classify_rows/ragged", lambda: classify_rows([list(_AMPS[0]), [1.0]])),
     ("classify_rows/text", lambda: classify_rows([["1"] * 8])),
+    ("normalize_rows/trailing", lambda: normalize_rows(_AMPS[:, :7])),
+    ("normalize_rows/one-axis", lambda: normalize_rows(_AMPS[0])),
+    ("normalize_rows/ragged", lambda: normalize_rows([list(_AMPS[0]), [1.0]])),
+    ("normalize_rows/text", lambda: normalize_rows([["a"] * 8])),
 ]
 
 

@@ -1,8 +1,12 @@
 """State container, gauge fixing, local unitaries, and the seeded samplers."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ghz, haar_state, ket
 from triqent import (
@@ -10,6 +14,7 @@ from triqent import (
     TYPE_IDS,
     BadNormalization,
     LocalUnitary,
+    NonUnitary,
     PureState3,
     ValidationError,
     ZeroVector,
@@ -19,13 +24,27 @@ from triqent import (
     classify_rows,
     concurrence_pair,
     normalize,
+    normalize_rows,
     reassemble,
     sample_haar,
     sample_type,
     slice_state,
     tangle,
 )
-from triqent.qstate import NORM_TOL, _check_norms, _haar_u2_batch, _sample_type_batch
+from triqent.qstate import (
+    NORM_TOL,
+    _apply_local_rows,
+    _check_norms,
+    _haar_amps,
+    _haar_u2,
+    _haar_u2_batch,
+    _sample_type_batch,
+)
+
+
+def _bits(a) -> np.ndarray:
+    """The raw bits of a complex array, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64)
 
 
 def test_normalize_fixes_scale_and_global_phase():
@@ -45,6 +64,70 @@ def test_normalize_fixes_scale_and_global_phase():
 def test_normalize_rejects_zero_vector():
     with pytest.raises(ZeroVector):
         normalize(np.zeros(8, dtype=complex))
+
+
+def _edge_rows(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Rows with scales from 1e-10 to 1e300, zero and -0.0 leading slots and
+    leads straddling the 1e-12 phase reference."""
+    x = rng.normal(size=(n, 2, 8))
+    rows = x[:, 0] + 1j * x[:, 1]
+    lead = rng.integers(0, 8, size=n)
+    kind = rng.integers(0, 3, size=n)
+    for i in range(n):
+        k = lead[i]
+        if kind[i] == 0:
+            rows[i, :k] = 0.0
+        elif kind[i] == 1:
+            rows[i, :k] = complex(-0.0, -0.0)
+            rows[i, k::2].imag = -0.0
+        else:
+            rows[i, :k] *= 10.0 ** rng.uniform(-12.3, -11.7, size=k) / np.abs(rows[i, :k])
+    return rows * 10.0 ** rng.uniform(-10.0, 300.0, size=(n, 1))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+def test_normalize_rows_is_stacked_one_row_normalize(seed, n):
+    raw = _edge_rows(np.random.default_rng(seed), n)
+    want = np.array([normalize(row).amp for row in raw])
+    assert np.array_equal(_bits(normalize_rows(raw)), _bits(want))
+
+
+# sha256 of one-row normalize outputs and of three-qubit apply_local_unitary
+# scrambles, taken before normalize and the apply were one-row batch calls
+ONE_ROW_GOLDEN = {
+    "normalize": "4e93a3cb1301c3442f62ae933f978625de71c419a89720c76464306f960188e9",
+    "apply": "9ef532a257301e7df4ec30ad297b29c649bbd6e63bfc806c3c6fe9ff6539cd15",
+}
+
+
+def test_one_row_calls_match_their_golden_digests():
+    rng = np.random.default_rng(2026)
+    h = hashlib.sha256()
+    for row in _edge_rows(rng, 2000):
+        h.update(normalize(row).amp.tobytes())
+    assert h.hexdigest() == ONE_ROW_GOLDEN["normalize"]
+    h = hashlib.sha256()
+    amps = _haar_amps(300, rng)
+    q, _ = np.linalg.qr(rng.normal(size=(300, 3, 2, 2)) + 1j * rng.normal(size=(300, 3, 2, 2)))
+    for a, us in zip(amps, q):
+        s = PureState3(a)
+        for target, u in zip(QUBITS, us):
+            s = apply_local_unitary(s, LocalUnitary(u, target))
+        h.update(s.amp.tobytes())
+    assert h.hexdigest() == ONE_ROW_GOLDEN["apply"]
+
+
+def test_normalize_rows_names_the_zero_row_and_spares_small_rows():
+    rows = np.stack([ghz().amp, np.zeros(8), ghz().amp])
+    with pytest.raises(ZeroVector, match="row 1"):
+        normalize_rows(rows)
+    # |z| >= 1e-15 although both parts are below it: not a zero row
+    small = np.full((1, 8), 0.8e-15 * (1 + 1j))
+    assert np.array_equal(_bits(normalize_rows(small)), _bits(normalize(small[0]).amp[None]))
+    with pytest.raises(ZeroVector, match="row 0"):
+        normalize_rows(np.full((1, 8), 0.7e-15 * (1 + 1j)))
+    assert normalize_rows(np.zeros((0, 8))).shape == (0, 8)
 
 
 def test_non_finite_amplitudes_are_rejected_and_extreme_scales_are_not():
@@ -109,13 +192,38 @@ def test_local_unitaries_preserve_entanglement_invariants():
         before = (bloch_triple(s).as_array(), tangle(s),
                   [concurrence_pair(s, p) for p in ("AB", "AC", "BC")])
         t = s
-        for q in QUBITS:
-            t = apply_local_unitary(t, LocalUnitary(_haar_u2_batch(1, rng)[0], q))
+        for q, u in zip(QUBITS, _haar_u2_batch(1, rng)[:, 0]):
+            t = apply_local_unitary(t, LocalUnitary(u, q))
         after = (bloch_triple(t).as_array(), tangle(t),
                  [concurrence_pair(t, p) for p in ("AB", "AC", "BC")])
         assert np.max(np.abs(before[0] - after[0])) <= 1e-10
         assert abs(before[1] - after[1]) <= 1e-10
         assert np.max(np.abs(np.array(before[2]) - np.array(after[2]))) <= 1e-10
+
+
+@pytest.mark.parametrize("n", (1, 3, 250))
+def test_stacked_unitaries_are_three_sequential_draws(n):
+    for seed in range(5):
+        got = _haar_u2_batch(n, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        want = np.stack([_haar_u2(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+                         for _ in QUBITS])
+        assert got.shape == (3, n, 2, 2)
+        assert np.array_equal(_bits(got), _bits(want))
+        dev = np.abs(np.conj(got).swapaxes(-1, -2) @ got - np.eye(2)).max()
+        assert dev <= 1e-12
+
+
+def test_batch_apply_is_per_row_apply():
+    rng = np.random.default_rng(17)
+    amps = _haar_amps(200, rng)
+    for q, us in zip(QUBITS, _haar_u2_batch(200, rng)):
+        want = [apply_local_unitary(PureState3(a), LocalUnitary(u, q)).amp
+                for a, u in zip(amps, us)]
+        assert np.array_equal(_bits(_apply_local_rows(amps, us, q)), _bits(want))
+    us[5, 0, 1] += 1e-9
+    with pytest.raises(NonUnitary):
+        _apply_local_rows(amps, us, "C")
 
 
 def test_local_unitary_validation():
@@ -179,6 +287,20 @@ def test_batch_rows_classify_as_their_type():
     for i, t in enumerate(TYPE_IDS):
         for got in classify_rows(_sample_type_batch(t, 500, 900 + i))[1]:
             assert got == t or got.startswith(t + "-"), (t, got)
+
+
+# sha256 of _sample_type_batch(t, n, 40 + i) for the i-th of TYPE_IDS and n
+# in (1, 3, 250), joined in that order; taken before the per-qubit unitaries
+# were drawn as one stack
+SAMPLER_DIGEST = "505d51863680f501c9447dca8d00ff058361aae9981d31fa189f513f431356a0"
+
+
+def test_sampler_rows_match_their_golden_digest():
+    h = hashlib.sha256()
+    for i, t in enumerate(TYPE_IDS):
+        for n in (1, 3, 250):
+            h.update(_sample_type_batch(t, n, 40 + i).tobytes())
+    assert h.hexdigest() == SAMPLER_DIGEST
 
 
 def test_sample_type_seed_determinism():
