@@ -40,24 +40,38 @@ def _kind(t: type) -> str:
 _FORMAT = {"bool": lambda v: "1" if v else "0", "int": lambda v: str(int(v)), "str": str}
 
 
-def _column(values: tuple) -> list[str]:
+def _float_cells(x: np.ndarray) -> list[str]:
+    """The cells of a float column: each distinct value formatted once, since
+    a sweep repeats most of its values (delta on every row of a grid point,
+    the energies on every member of a level)."""
+    x = np.ascontiguousarray(x, dtype=float)
+    # distinct by their bits, which tell -0.0 from 0.0
+    _, first, back = np.unique(x.view(np.int64), return_index=True, return_inverse=True)
+    distinct = x[first]
+    # one template formats every distinct value; an object array maps the
+    # cells back to the rows faster than a Python loop does
+    text = "%.17g\n" * len(distinct) % tuple(distinct.tolist())
+    cells = np.array(text.split("\n")[:-1], dtype=object)
+    cells[~np.isfinite(distinct)] = ""
+    return cells[back].tolist()
+
+
+def _column(values) -> list[str]:
     """The CSV/text cells of one column, formatted by the value types it
     holds: floats as %.17g, bools as 1/0, ints and anything else through
-    str; None and non-finite floats give an empty cell. Each distinct value
-    is formatted once, since a sweep repeats most of its values (delta on
-    every row of a grid point, the energies on every member of a level)."""
+    str; None and non-finite floats give an empty cell. A float array is
+    formatted as a whole, any other array as its list of values."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "f":
+            return _float_cells(values)
+        values = values.tolist()
     kinds = {_kind(t) for t in set(map(type, values)) - {type(None)}}
     if len(kinds) > 1:
         return [c for v in values for c in _column((v,))]
-    if kinds == {"float"}:
-        x = np.array(values, dtype=float)  # None becomes NaN
-        # distinct by their bits, which tell -0.0 from 0.0
-        _, first, back = np.unique(x.view(np.int64), return_index=True, return_inverse=True)
-        distinct = x[first]
-        cells = np.array(list(map("%.17g".__mod__, distinct.tolist())), dtype=object)
-        cells[~np.isfinite(distinct)] = ""
-        return cells[back].tolist()
-    fmt = _FORMAT[kinds.pop() if kinds else "str"]
+    kind = kinds.pop() if kinds else "str"
+    if kind == "float":
+        return _float_cells(np.array(values, dtype=float))  # None becomes NaN
+    fmt = _FORMAT[kind]
     cells = {v: "" if v is None else fmt(v) for v in dict.fromkeys(values)}
     return list(map(cells.__getitem__, values))
 
@@ -87,7 +101,8 @@ def _plain_csv(cols: list[list[str]]) -> bool:
 
 
 def _table(header: tuple[str, ...], columns, fmt: str) -> str:
-    """A table given as one sequence of values per header name."""
+    """A table given as one sequence of values per header name: a tuple,
+    a list or a numpy array."""
     if fmt == "json":
         jcols = [list(map(_jval, col)) for col in columns]
         payload = [dict(zip(header, row)) for row in zip(*jcols)]
@@ -231,7 +246,7 @@ def _cmd_bounds(args) -> tuple[str, int]:
             f"need 0 <= r-min <= r-max, got {args.r_min}, {args.r_max}")
     r = np.linspace(args.r_min, args.r_max, args.points)
     cols = [r] + [polytope.bound_curve(kind, r) for kind in polytope.CURVE_KINDS]
-    return _table(BOUNDS_FIELDS, [c.tolist() for c in cols], args.format), 0
+    return _table(BOUNDS_FIELDS, cols, args.format), 0
 
 
 def _cmd_sample(args) -> tuple[str, int]:
@@ -246,7 +261,7 @@ def _cmd_sample(args) -> tuple[str, int]:
         labels += [kind] * args.n
         blocks.append(np.column_stack((r, polytope.big_r(r), 4.0 * np.abs(hdet),
                                        polytope.dist_to_diagonal(r))))
-    return _table(SAMPLE_FIELDS, [labels, *np.concatenate(blocks).T.tolist()], args.format), 0
+    return _table(SAMPLE_FIELDS, [labels, *np.concatenate(blocks).T], args.format), 0
 
 
 def _cmd_sweep(args) -> tuple[str, int]:

@@ -113,16 +113,26 @@ def hyperdeterminant(s: PureState3) -> complex:
     return s.invariants[2]
 
 
-def tangle(s: PureState3, check: bool = True) -> float:
-    """Tripartite tangle tau = 4 |Hdet|.
+# how far above 1 a tangle may land before it is an error, not rounding: a
+# state within NORM_TOL = 1e-12 of norm 1 has 4|Hdet| up to about 1 + 4e-12
+_TAU_SLACK = 1e-10
 
-    With check=True (default) the value is cross-validated by check_monogamy.
+
+def tangle(s: PureState3, check: bool = True) -> float:
+    """Tripartite tangle tau = 4 |Hdet|, clipped at 1: GHZ reaches 1 up to
+    rounding, which can land a few ulp above it. NumericalError if tau
+    exceeds 1 by more than _TAU_SLACK.
+
+    With check=True (default) the unclipped value is cross-validated by
+    check_monogamy.
     """
     r, c, hdet = s.invariants
     tau = 4.0 * abs(hdet)
     if check:
         check_monogamy(r[None], c[None], np.array([tau]))
-    return tau
+    if tau > 1.0 + _TAU_SLACK:
+        raise NumericalError(f"tangle {tau} exceeds 1 by more than {_TAU_SLACK}")
+    return min(tau, 1.0)
 
 
 def check_monogamy(r: np.ndarray, c: np.ndarray, tau: np.ndarray) -> None:

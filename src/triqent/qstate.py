@@ -211,6 +211,17 @@ def normalize(raw) -> PureState3:
     return PureState3(normalize_rows(_amps8(raw)[None])[0])
 
 
+# einsum spec applying row n's 2x2 matrix to one qubit of (n, 2, 2, 2) rows;
+# unlike a matmul, it gives each row the same bits in any batch
+_APPLY_SPEC = ("nij,njbc->nibc", "nij,najc->naic", "nij,nabj->nabi")
+
+
+def _apply_rows(t3: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
+    """Row n of the (n, 2, 2, 2) tensors with the 2x2 matrix u[n] applied
+    to the qubit on the given axis (0, 1, 2 for A, B, C)."""
+    return np.einsum(_APPLY_SPEC[axis], u, t3)
+
+
 def _apply_local_rows(amps: np.ndarray, u: np.ndarray, target: str) -> np.ndarray:
     """Row i of the (n, 8) amplitudes with the 2x2 unitary u[i] applied to
     the target qubit, normalized; NonUnitary unless every u[i]+ u[i] is the
@@ -218,11 +229,8 @@ def _apply_local_rows(amps: np.ndarray, u: np.ndarray, target: str) -> np.ndarra
     dev = np.abs(np.conj(u).transpose(0, 2, 1) @ u - np.eye(2)).max(axis=(1, 2))
     if (dev > 1e-10).any():
         raise NonUnitary(f"u+u deviates from identity by {dev.max():.3e}")
-    # the target's index leads each (2, 4) matrix, the others keep their order
-    ax = _AXIS[target] + 1
-    t = np.moveaxis(amps.reshape(-1, 2, 2, 2), ax, 1).reshape(-1, 2, 4)
-    t = (u @ t).reshape(-1, 2, 2, 2)
-    return normalize_rows(np.moveaxis(t, 1, ax).reshape(-1, 8))
+    t = _apply_rows(amps.reshape(-1, 2, 2, 2), u, _AXIS[target])
+    return normalize_rows(t.reshape(-1, 8))
 
 
 def apply_local_unitary(s: PureState3, lu: LocalUnitary) -> PureState3:
@@ -261,11 +269,31 @@ def _haar_amps(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _haar_u2(g: np.ndarray) -> np.ndarray:
-    """Haar-random unitaries from Ginibre matrices g (..., 2, 2): each Q of
-    one stacked QR factorization, times the phases of R's diagonal."""
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    """Haar-random unitaries from Ginibre matrices g (..., 2, 2).
+
+    Each is the Q of g's QR factorization with R's diagonal made positive,
+    which is Haar distributed (F. Mezzadri, Notices AMS 54, 592 (2007)), in
+    closed form and real arithmetic: the first column is q1 = g[:, 0] /
+    |g[:, 0]|, the second the complement (-conj q1[1], conj q1[0]) times the
+    phase of R11 = q1[0] g[1, 1] - q1[1] g[0, 1]. Being elementwise, a row
+    has the same bits in any batch.
+    """
+    re, im = g.real, g.imag
+    ar, ai, br, bi = re[..., 0, 0], im[..., 0, 0], re[..., 1, 0], im[..., 1, 0]
+    cr, ci, dr, di = re[..., 0, 1], im[..., 0, 1], re[..., 1, 1], im[..., 1, 1]
+    norm = np.sqrt(ar * ar + ai * ai + br * br + bi * bi)
+    x0, y0, x1, y1 = ar / norm, ai / norm, br / norm, bi / norm
+    sr = x0 * dr - y0 * di - (x1 * cr - y1 * ci)
+    si = x0 * di + y0 * dr - (x1 * ci + y1 * cr)
+    mag = np.hypot(sr, si)
+    pr, pi = sr / mag, si / mag
+    # (real, imaginary) parts of u[..., i, j] at out[..., i, j, :]
+    out = np.empty(g.shape + (2,))
+    out[..., 0, 0, 0], out[..., 0, 0, 1] = x0, y0
+    out[..., 1, 0, 0], out[..., 1, 0, 1] = x1, y1
+    out[..., 0, 1, 0], out[..., 0, 1, 1] = -(x1 * pr + y1 * pi), y1 * pr - x1 * pi
+    out[..., 1, 1, 0], out[..., 1, 1, 1] = x0 * pr + y0 * pi, x0 * pi - y0 * pr
+    return out.view(complex)[..., 0]
 
 
 def _haar_u2_batch(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -384,7 +412,6 @@ def _sample_type_batch(t: str, n: int, seed) -> np.ndarray:
             lam[:, 1] *= np.exp(1j * rng.uniform(0.0, np.pi, size=k))
         amp[np.ix_(mask, _CD_AMP_IDX)] = lam
     t3 = amp.reshape(n, 2, 2, 2)
-    specs = ("nij,njbc->nibc", "nij,najc->naic", "nij,nabj->nabi")
-    for spec, u in zip(specs, _haar_u2_batch(n, rng)):
-        t3 = np.einsum(spec, u, t3)
+    for axis, u in enumerate(_haar_u2_batch(n, rng)):
+        t3 = _apply_rows(t3, u, axis)
     return t3.reshape(n, 8)

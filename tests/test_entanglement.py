@@ -6,7 +6,9 @@ import pytest
 
 from conftest import ghz, haar_state, ket, w_state
 from triqent import (
+    GHZ_KET,
     PAIRS,
+    NumericalError,
     OutOfRange,
     PureState3,
     ValidationError,
@@ -15,6 +17,7 @@ from triqent import (
     concurrence_pair,
     entropy_from_norm,
     hyperdeterminant,
+    normalize,
     reduce_one,
     tangle,
 )
@@ -165,6 +168,21 @@ def test_tangle_stays_in_unit_interval():
     for _ in range(150):
         t = tangle(haar_state(rng))
         assert -1e-12 <= t <= 1.0 + 1e-12
+
+
+def test_tangle_clips_only_a_rounding_excess():
+    s = normalize(GHZ_KET)
+    assert 4.0 * abs(hyperdeterminant(s)) > 1.0  # rounds 2 ulp above 1
+    assert tangle(s) == 1.0
+    # a tangle far above 1 is a defect, not rounding, with or without the
+    # monogamy cross-check
+    far = normalize(GHZ_KET)
+    r, c, _ = far.invariants
+    far.__dict__["invariants"] = (r, c, 0.325 + 0j)
+    with pytest.raises(NumericalError, match="disagree"):
+        tangle(far)
+    with pytest.raises(NumericalError, match="exceeds 1"):
+        tangle(far, check=False)
 
 
 def test_tangle_cross_check_can_be_disabled():

@@ -94,10 +94,12 @@ def test_normalize_rows_is_stacked_one_row_normalize(seed, n):
 
 
 # sha256 of one-row normalize outputs and of three-qubit apply_local_unitary
-# scrambles, taken before normalize and the apply were one-row batch calls
+# scrambles, taken before normalize and the apply were one-row batch calls;
+# "apply" re-pinned when the apply became an einsum (amplitudes moved by at
+# most 3.4e-15)
 ONE_ROW_GOLDEN = {
     "normalize": "4e93a3cb1301c3442f62ae933f978625de71c419a89720c76464306f960188e9",
-    "apply": "9ef532a257301e7df4ec30ad297b29c649bbd6e63bfc806c3c6fe9ff6539cd15",
+    "apply": "af8a66d596b78dbcf27d240d3b8e595a38c0f91f771ffb2e826d55c60e831060",
 }
 
 
@@ -214,6 +216,45 @@ def test_stacked_unitaries_are_three_sequential_draws(n):
         assert dev <= 1e-12
 
 
+def _qr_haar_u2(g: np.ndarray) -> np.ndarray:
+    """Reference for _haar_u2: LAPACK's Q of each g, times the phases of R's
+    diagonal, so that R's diagonal is positive."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _ginibre(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    x = rng.normal(size=(2, *shape, 2, 2))
+    return x[0] + 1j * x[1]
+
+
+def test_closed_form_haar_unitaries_are_the_positive_diagonal_qr():
+    g = _ginibre(np.random.default_rng(8), 3, 4000)
+    u = _haar_u2(g)
+    assert np.abs(u - _qr_haar_u2(g)).max() <= 1e-13
+    assert np.abs(np.conj(u).swapaxes(-1, -2) @ u - np.eye(2)).max() <= 1e-14
+
+
+def test_closed_form_haar_rows_keep_their_bits_in_any_batch():
+    g = _ginibre(np.random.default_rng(9), 3000)
+    full = _bits(_haar_u2(g))
+    for lo, hi in ((0, 1), (0, 2), (5, 12), (0, 1366), (0, 1367), (1, 2999), (0, 3000)):
+        assert np.array_equal(_bits(_haar_u2(g[lo:hi])), full[lo:hi])
+
+
+def test_closed_form_haar_unitaries_have_the_haar_moments():
+    # |u_ij|^2 is uniform on [0, 1] and det u uniform on the unit circle
+    n = 200_000
+    u = _haar_u2(_ginibre(np.random.default_rng(10), n))
+    det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
+    p = np.abs(u.reshape(n, 4)) ** 2
+    samples = [(x, 0.0) for z in (*u.reshape(n, 4).T, det) for x in (z.real, z.imag)]
+    samples += [(x, 0.5) for x in p.T] + [(x, 1.0 / 3.0) for x in (p ** 2).T]
+    for x, mean in samples:
+        assert abs(x.mean() - mean) <= 5.0 * x.std(ddof=1) / np.sqrt(n)
+
+
 def test_batch_apply_is_per_row_apply():
     rng = np.random.default_rng(17)
     amps = _haar_amps(200, rng)
@@ -291,8 +332,9 @@ def test_batch_rows_classify_as_their_type():
 
 # sha256 of _sample_type_batch(t, n, 40 + i) for the i-th of TYPE_IDS and n
 # in (1, 3, 250), joined in that order; taken before the per-qubit unitaries
-# were drawn as one stack
-SAMPLER_DIGEST = "505d51863680f501c9447dca8d00ff058361aae9981d31fa189f513f431356a0"
+# were drawn as one stack, re-pinned when they became a closed form
+# (amplitudes moved by at most 7.5e-15)
+SAMPLER_DIGEST = "a54c05627afc2bbd97e70b345bb80fa69c8229b734d5521973ea9e7333f729e1"
 
 
 def test_sampler_rows_match_their_golden_digest():
