@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadNormalization, NumericalError, ValidationError
-from .entanglement import _pencil, check_monogamy, invariants
+from .entanglement import _pencil, _tangles, invariants
 from .qstate import _CD_AMP_IDX, PureState3, SliceTensors, _amp_rows
 
 # absolute tolerance under which a canonical coefficient counts as zero when
@@ -318,8 +318,7 @@ def _label_codes(r, c, hdet, tol: float, cd_tol: float, lambdas_of):
     kind = np.where(product, _KIND["1"], _KIND["2a"])
     need = near_one == 0
     if need.any():
-        tau = 4.0 * np.abs(hdet[need])
-        check_monogamy(r[need], c[need], tau)
+        tau = _tangles(hdet[need], r[need], c[need])
         zero = lambdas_of(need) < cd_tol
         w_class = tau < tol
         w_kind = np.where(zero[:, 1] & zero[:, 4], _KIND["3a"], _KIND["4a"])

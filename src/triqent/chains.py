@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .entanglement import BlochTriple, check_monogamy, invariants
+from .entanglement import BlochTriple, _tangles, invariants
 from .errors import (
     ConvergenceFailure,
     CrossingPoint,
@@ -422,12 +422,6 @@ def _abs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _square(x: np.ndarray) -> np.ndarray:
-    """x ** 2 as Python's float power computes it (libm pow), which differs
-    from x * x in the last bit for about 0.1% of values."""
-    return np.array([v ** 2 for v in x.tolist()])
-
-
 def _level_members(name: str, n: int, d: float, coeffs: np.ndarray | None) -> np.ndarray:
     """(M, 8) closed-form members of level n, one per row of the (M, k)
     member coefficients (alpha, beta, gamma, delta)[:k].
@@ -481,10 +475,10 @@ def _fixed_tangle(name: str, n: int, d: float, k: int | None) -> float:
 
 def _level_tangles(name: str, n: int, d: float, coeffs: np.ndarray | None) -> np.ndarray:
     """(M,) closed-form tangles of the members _level_members builds from the
-    same coeffs (one row for coeffs=None).
+    same coeffs (one row for coeffs=None), clipped at 1 like _tangles.
 
     The arithmetic is that of the scalar formulas: complex products without
-    a fused multiply-add, libm's hypot and pow.
+    a fused multiply-add, libm's hypot.
     """
     k = None if coeffs is None else coeffs.shape[1]
     if _fused_member(name, n, d, k):
@@ -493,29 +487,31 @@ def _level_tangles(name: str, n: int, d: float, coeffs: np.ndarray | None) -> np
         eta = _cmul(al, _OMEGA) + _cmul(be, _OMEGA.conjugate())
         odd = (al + be) - (xi - eta)
         inner = _cmul(g, g) - _cmul(odd, odd) / 3.0 + _cmul(4.0 * eta / 3.0, al + be)
-        return _square(_abs(g)) * _abs(inner)
-    if name != "xxx":
-        return np.full(1 if coeffs is None else len(coeffs), _fixed_tangle(name, n, d, k))
+        mag = _abs(g)
+        tau = mag * mag * _abs(inner)
+    elif name != "xxx":
+        tau = np.full(1 if coeffs is None else len(coeffs), _fixed_tangle(name, n, d, k))
     # xxx: every level is degenerate and the tangle varies over each subspace
-    if coeffs is None:
+    elif coeffs is None:
         raise NeedParams(f"xxx level {n} tangle depends on the member; pass params")
-    if n in (0, 1):
+    elif n in (0, 1):
         _require_components(k, 2, f"xxx level {n}")
-        b2 = _square(coeffs[:, 1].real)
-        base = 4.0 * b2 * (1.0 - b2)
-        return base if n == 0 else base / 3.0
-    _require_components(k, 4, "xxx level 2")
-    al, be, ga, de = coeffs.T
-    # pair the two k = 1, 2 kets of each magnetization sector
-    s_ab = al + ga
-    s_gd = be + de
-    e_ab = _cmul(al, _OMEGA) + _cmul(ga, _OMEGA.conjugate())
-    e_ba = _cmul(al, _OMEGA.conjugate()) + _cmul(ga, _OMEGA)
-    e_gd = _cmul(be, _OMEGA) + _cmul(de, _OMEGA.conjugate())
-    e_dg = _cmul(be, _OMEGA.conjugate()) + _cmul(de, _OMEGA)
-    pair = _cmul(s_ab, s_gd) - (_cmul(e_ba, e_dg) - _cmul(e_ab, e_gd))
-    val = _cmul(pair, pair) - _cmul(_cmul(_cmul(4.0 * s_ab, s_gd), e_ab), e_gd)
-    return (4.0 / 9.0) * _abs(val)
+        b2 = coeffs[:, 1].real * coeffs[:, 1].real
+        tau = 4.0 * b2 * (1.0 - b2) / (1.0 if n == 0 else 3.0)
+    else:
+        _require_components(k, 4, "xxx level 2")
+        al, be, ga, de = coeffs.T
+        # pair the two k = 1, 2 kets of each magnetization sector
+        s_ab = al + ga
+        s_gd = be + de
+        e_ab = _cmul(al, _OMEGA) + _cmul(ga, _OMEGA.conjugate())
+        e_ba = _cmul(al, _OMEGA.conjugate()) + _cmul(ga, _OMEGA)
+        e_gd = _cmul(be, _OMEGA) + _cmul(de, _OMEGA.conjugate())
+        e_dg = _cmul(be, _OMEGA.conjugate()) + _cmul(de, _OMEGA)
+        pair = _cmul(s_ab, s_gd) - (_cmul(e_ba, e_dg) - _cmul(e_ab, e_gd))
+        val = _cmul(pair, pair) - _cmul(_cmul(_cmul(4.0 * s_ab, s_gd), e_ab), e_gd)
+        tau = (4.0 / 9.0) * _abs(val)
+    return np.minimum(tau, 1.0)
 
 
 def closed_form_eigenstate(model, n: int, delta: float | None = None,
@@ -759,9 +755,10 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
     the rows describe the eigenvectors of H + perturb * Z on site 0 instead
     and the closed-form columns are left empty.
 
-    The grid's Hamiltonians are diagonalized as one stack and the symmetry
-    labels read in one call; each grid point's members are checked and
-    measured as one batch of their own.
+    The grid is diagonalized as one stack, and the rows of all its points
+    are one batch for the norm check, invariants, monogamy check and labels.
+    A sweep is byte-identical from run to run, but a row's last bit may
+    depend on the batch size.
     """
     name = model.name if isinstance(model, ChainModel) else str(model)
     _check_model(name)
@@ -779,39 +776,35 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
     if perturb != 0.0:
         h = h + perturb * _PAULI_TABLE["ZII"]
     evals, vecs = eigensystem(h)
+    spectra = [closed_form_spectrum(name, d) for d in grid]
     cols: dict[str, list] = {f: [] for f in SWEEP_FIELDS}
     if perturb != 0.0:
+        amps = vecs.swapaxes(1, 2).reshape(-1, 8)
+        counts = [8] * len(grid)
         cols["n"] = list(range(8)) * len(grid)
         cols["energy_numeric"] = evals.reshape(-1).tolist()
         cols["energy_closed"] = cols["tau_closed"] = [None] * (8 * len(grid))
         group = np.abs(evals[:, :, None] - evals[:, None, :]) <= GAP_TOL
         cols["multiplicity"] = group.sum(axis=2).reshape(-1).tolist()
-    # a point draws members only where _family_members does not take the
-    # fixed grid lattice
-    draws = not all(params_policy == "grid" and len(family[0]) == 2
-                    for (m, _), family in _DEG_FAMILY.items() if m == name)
-    blocks, r_blocks, tau_blocks = [], [], []
-    for i, d in enumerate(grid):
-        spectrum = closed_form_spectrum(name, d)
-        sorted_e = sorted(e for e, _ in spectrum)
-        crossing = any(b - a <= GAP_TOL for a, b in zip(sorted_e, sorted_e[1:]))
-        if perturb != 0.0:
-            amps = vecs[i].T
-        else:
+    else:
+        # a point draws members only where _family_members does not take the
+        # fixed grid lattice
+        draws = not all(params_policy == "grid" and len(family[0]) == 2
+                        for (m, _), family in _DEG_FAMILY.items() if m == name)
+        blocks = []
+        for i, (d, spectrum) in enumerate(zip(grid, spectra)):
             rng = np.random.default_rng([int(seed), i]) if draws else None
-            amps = _closed_point(name, d, spectrum, evals[i], params_policy, rng, cols)
-        _check_norms(amps)
-        r, c, hdet = invariants(amps)
-        tau = 4.0 * np.abs(hdet)
-        check_monogamy(r, c, tau)
-        blocks.append(amps)
-        r_blocks.append(r)
-        tau_blocks.append(tau)
-        cols["delta"] += [d] * len(amps)
-        cols["crossing_flag"] += [crossing] * len(amps)
-    labels = symmetry_label_rows(np.concatenate(blocks))
+            blocks.append(_closed_point(name, d, spectrum, evals[i], params_policy, rng, cols))
+        amps = np.concatenate(blocks)
+        counts = [len(b) for b in blocks]
+    _check_norms(amps)
+    r, c, hdet = invariants(amps)
+    cols["tau_numeric"] = _tangles(hdet, r, c).tolist()
+    cols["r_a"], cols["r_b"], cols["r_c"] = r.T.tolist()
+    labels = symmetry_label_rows(amps)
     for f in ("k", "p", "m_z"):
         cols[f] = labels[f]
-    cols["tau_numeric"] = np.concatenate(tau_blocks).tolist()
-    cols["r_a"], cols["r_b"], cols["r_c"] = np.concatenate(r_blocks).T.tolist()
+    crossing = [(np.diff(sorted(e for e, _ in spectrum)) <= GAP_TOL).any() for spectrum in spectra]
+    cols["delta"] = np.repeat(grid, counts).tolist()
+    cols["crossing_flag"] = np.repeat(crossing, counts).tolist()
     return SweepTable(**{f: tuple(col) for f, col in cols.items()})

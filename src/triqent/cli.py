@@ -259,7 +259,7 @@ def _cmd_sample(args) -> tuple[str, int]:
         amps = qstate._sample_type_batch(kind, args.n, sub)
         r, _, hdet = entanglement.invariants(amps)
         labels += [kind] * args.n
-        blocks.append(np.column_stack((r, polytope.big_r(r), 4.0 * np.abs(hdet),
+        blocks.append(np.column_stack((r, polytope.big_r(r), entanglement._tangles(hdet),
                                        polytope.dist_to_diagonal(r))))
     return _table(SAMPLE_FIELDS, [labels, *np.concatenate(blocks).T], args.format), 0
 

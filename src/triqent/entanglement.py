@@ -124,15 +124,24 @@ def tangle(s: PureState3, check: bool = True) -> float:
     exceeds 1 by more than _TAU_SLACK.
 
     With check=True (default) the unclipped value is cross-validated by
-    check_monogamy.
+    check_monogamy. One row of _tangles.
     """
     r, c, hdet = s.invariants
-    tau = 4.0 * abs(hdet)
-    if check:
-        check_monogamy(r[None], c[None], np.array([tau]))
-    if tau > 1.0 + _TAU_SLACK:
-        raise NumericalError(f"tangle {tau} exceeds 1 by more than {_TAU_SLACK}")
-    return min(tau, 1.0)
+    return float(_tangles(np.array([hdet]), *((r[None], c[None]) if check else ()))[0])
+
+
+def _tangles(hdet: np.ndarray, r=None, c=None) -> np.ndarray:
+    """Tangles 4 |Hdet| of hdet (n,) from invariants, |.| by libm's hypot
+    (as abs() of a complex scalar), clipped at 1; NumericalError if one
+    exceeds 1 by more than _TAU_SLACK. Given the rows' r and c,
+    check_monogamy cross-checks the unclipped values first."""
+    tau = 4.0 * np.hypot(hdet.real, hdet.imag)
+    if r is not None:
+        check_monogamy(r, c, tau)
+    top = tau.max(initial=0.0)
+    if top > 1.0 + _TAU_SLACK:
+        raise NumericalError(f"tangle {top} exceeds 1 by more than {_TAU_SLACK}")
+    return np.minimum(tau, 1.0) if top > 1.0 else tau
 
 
 def check_monogamy(r: np.ndarray, c: np.ndarray, tau: np.ndarray) -> None:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -139,7 +141,7 @@ def _haar_unit(x: np.ndarray) -> np.ndarray:
 def _seven_invariants(amps: np.ndarray) -> np.ndarray:
     """(r_A, r_B, r_C, tau, C_AB, C_AC, C_BC) of each amplitude row, (n, 7)."""
     r, c, hdet = entanglement.invariants(amps)
-    return np.column_stack([r, 4.0 * np.abs(hdet), c])
+    return np.column_stack([r, entanglement._tangles(hdet), c])
 
 
 def _expect(exc_type, fn, *args, **kwargs):
@@ -278,7 +280,7 @@ def _check_entropy_anchors(rng: np.random.Generator) -> str:
 @register("monogamy-pivots", stream=7)
 def _check_monogamy_pivots(rng: np.random.Generator, n: int = 3000) -> str:
     r, c, hdet = entanglement.invariants(qstate._haar_amps(n, rng))
-    tau = 4.0 * np.abs(hdet)
+    tau = entanglement._tangles(hdet)
     cap2 = 1.0 - r ** 2
     ab2, ac2, bc2 = c[:, 0] ** 2, c[:, 1] ** 2, c[:, 2] ** 2
     slack = float((ab2 + ac2 - cap2[:, 0]).max())
@@ -306,8 +308,7 @@ def _check_tangle_anchors(rng: np.random.Generator) -> str:
         assert entanglement.tangle(_state((0, 1.0), (idx, 1.0))) <= 1e-12
     assert entanglement.tangle(_state((0, 1.0))) <= 1e-12
     r, c, hdet = entanglement.invariants(_haar_rows(rng, 200))
-    tau = 4.0 * np.hypot(hdet.real, hdet.imag)  # abs() of each complex scalar
-    entanglement.check_monogamy(r, c, tau)
+    tau = entanglement._tangles(hdet, r, c)
     lo, hi = float(tau.min()), float(tau.max())
     assert 0.0 <= lo and hi <= 1.0, "tangle left [0, 1]"
     return f"anchors exact; 200 Haar tangles in [{lo:.3f}, {hi:.3f}]"
@@ -357,7 +358,7 @@ def _check_cd_structure(rng: np.random.Generator) -> str:
     worst_det = float(np.max(np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])))
     best = cd.branch_lambdas[:, :, 0].max(axis=1)
     assert np.all(lam[:, 0] >= best - 1e-9), "branch choice does not maximize l0"
-    tau = 4.0 * np.abs(entanglement.invariants(amps)[2])
+    tau = entanglement._tangles(entanglement.invariants(amps)[2])
     assert float(np.max(np.abs(4.0 * (lam[:, 0] * lam[:, 4]) ** 2 - tau))) <= 1e-9, \
         "4 (l0 l4)^2 drifted from the tangle"
     assert worst_det <= 1e-9, f"singular-slice residual {worst_det:.3e}"
@@ -476,7 +477,7 @@ def _check_bound_curves(rng: np.random.Generator, n: int = 500) -> str:
     for kind in ("2b", "3b", "4b", "4c", "5"):
         amps = qstate._sample_type_batch(kind, n, int(rng.integers(1 << 32)))
         r, _, hdet = entanglement.invariants(amps)
-        big, tau = polytope.big_r(r), 4.0 * np.abs(hdet)
+        big, tau = polytope.big_r(r), entanglement._tangles(hdet)
         top = polytope.bound_curve("tau_max", big)
         if kind == "2b":
             dev = float(np.max(np.abs(tau - top)))
@@ -519,12 +520,10 @@ def _check_tau_surface(rng: np.random.Generator) -> str:
         star = polytope.bound_curve("tau_star", r)
         assert abs(polytope.tau_surface(r, 0.0, grid).min() - star) <= 0.02 * star, \
             "numerical minimum strays from the saturating curve"
-    lams = np.array([qstate._draw_lambdas((0, 2, 3, 4), 1, rng)[0] for _ in range(50)])
-    states = [canonical.reconstruct(canonical.CanonicalForm(
-        lambdas=tuple(lam), phi=0.0, branch="plus")) for lam in lams]
-    r, _, hdet = entanglement.invariants(np.array([s.amp for s in states]))
+    lams = qstate._draw_lambdas((0, 2, 3, 4), 50, rng)
+    r, _, hdet = entanglement.invariants(canonical._canonical_amps(lams, np.zeros(50)))
     gaps = [np.abs(polytope.tau_surface(polytope.big_r(r), lams[:, 2], lams[:, 3], b)
-                   - 4.0 * np.abs(hdet)) for b in ("plus", "minus")]
+                   - entanglement._tangles(hdet)) for b in ("plus", "minus")]
     worst = float(np.max(np.min(gaps, axis=0)))
     assert worst <= 1e-9, f"surface misses reconstructed states by {worst:.3e}"
     _expect(ComplexTau, polytope.tau_surface, 0.3, 1.0, 0.0)
@@ -546,13 +545,13 @@ def _check_ansatz_identities(rng: np.random.Generator, n: int = 1500) -> str:
     for kind, rhs in plans.items():
         amps = qstate._sample_type_batch(kind, n, int(rng.integers(1 << 32)))
         r, _, hdet = entanglement.invariants(amps)
-        tau = 4.0 * np.abs(hdet)
+        tau = entanglement._tangles(hdet)
         dev = float(np.abs(1.0 - tau - rhs(r)).max())
         worst = max(worst, dev)
         assert dev <= 1e-10, f"{kind} norm identity off by {dev:.3e}"
     amps = qstate._sample_type_batch("2b", n, int(rng.integers(1 << 32)))
     r, _, hdet = entanglement.invariants(amps)
-    tau = 4.0 * np.abs(hdet)
+    tau = entanglement._tangles(hdet)
     r2 = (r ** 2).sum(axis=1)
     dev = float(np.abs(tau - (1.0 - r2 / 3.0)).max())
     assert dev <= 1e-10, f"diagonal states leave the top curve by {dev:.3e}"
@@ -569,14 +568,14 @@ def _check_ansatz_approximation(rng: np.random.Generator) -> str:
         amps = qstate._sample_type_batch(kind, n, int(rng.integers(1 << 32)))
         r, _, hdet = entanglement.invariants(amps)
         err = np.abs(polytope.ansatz_tau(r, polytope.f_lowest_order(kind, r))
-                     - 4.0 * np.abs(hdet))
+                     - entanglement._tangles(hdet))
         near3b = max(near3b, float(err[polytope.dist_to_diagonal(r) < 0.1].max(initial=0.0)))
     assert near3b <= 0.02, f"near-diagonal 3b ansatz error {near3b:.3e}"
     near4b = 0.0
     for kind in ("4b-l2", "4b-l3"):
         amps = qstate._sample_type_batch(kind, n, int(rng.integers(1 << 32)))
         r, _, hdet = entanglement.invariants(amps)
-        tau = 4.0 * np.abs(hdet)
+        tau = entanglement._tangles(hdet)
         sup = np.abs(polytope.ansatz_tau(r, polytope.f_lowest_order(kind, r)) - tau)
         swp = np.abs(polytope.ansatz_tau(
             r, polytope.f_lowest_order(kind, r, pairing="swapped")) - tau)
@@ -595,45 +594,66 @@ def _check_ansatz_approximation(rng: np.random.Generator) -> str:
 # ---------------------------------------------------------------------------
 # spin chains
 
-def _chain_grid(name: str, points: int) -> np.ndarray:
-    return np.linspace(*chains.DELTA_RANGES[name], points)
+def _chain_points(points: int) -> list[tuple[str, float]]:
+    """(model, delta) pairs of a points-long grid over each model's
+    DELTA_RANGES, model by model in MODELS order."""
+    return [(name, d) for name in chains.MODELS
+            for d in np.linspace(*chains.DELTA_RANGES[name], points).tolist()]
 
 
-def _level_states(name: str, n: int, d: float,
-                  rng: np.random.Generator) -> list[tuple]:
-    """(state, params) members of a level: one for non-degenerate levels,
-    three random members for degenerate ones and for the fused subspace of
-    the transverse-field chain at delta = 1."""
-    if chains._at_fusion(name, n, d):
-        size = 3
-    elif (name, n) in chains._DEG_FAMILY:
-        size = len(chains._DEG_FAMILY[(name, n)][0])
-    else:
-        return [(chains.closed_form_eigenstate(name, n, d), None)]
-    out = []
-    for _ in range(3):
-        params = chains._random_params(size, rng)
-        out.append((chains.closed_form_eigenstate(name, n, d, params), params))
-    return out
+def _hamiltonians(pairs: list[tuple[str, float]]) -> np.ndarray:
+    """(P, 8, 8) Hamiltonians of (model, delta) pairs, one stack per run of
+    pairs of the same model."""
+    return np.concatenate([chains.build_hamiltonian(name, [d for _, d in run])
+                           for name, run in groupby(pairs, key=itemgetter(0))])
+
+
+def _grid_members(pairs: list[tuple[str, float]], rng: np.random.Generator):
+    """(M, 8) closed-form members of every level at each (model, delta) pair,
+    with each row's pair index, level energy and closed tangle (M,): one row
+    per non-degenerate level, three random members (the draws of three
+    _random_params calls) per degenerate level or fused tfim subspace."""
+    blocks = []
+    for i, (name, d) in enumerate(pairs):
+        for n, (e, _) in enumerate(chains.closed_form_spectrum(name, d)):
+            family = chains._DEG_FAMILY.get((name, n))
+            size = 3 if chains._at_fusion(name, n, d) else family and len(family[0])
+            coeffs = chains._draw_members(size, 3, rng) if size else None
+            amps = chains._level_members(name, n, d, coeffs)
+            blocks.append((amps, np.full(len(amps), i), np.full(len(amps), e),
+                           chains._level_tangles(name, n, d, coeffs)))
+    return tuple(np.concatenate(col) for col in zip(*blocks))
+
+
+def _residuals(h: np.ndarray, amps: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """|h v - e v| of each row v of amps (M, 8), with h one (8, 8) matrix or
+    one per row (M, 8, 8) and e (M,)."""
+    return np.linalg.norm((h @ amps[:, :, None])[:, :, 0] - e[:, None] * amps, axis=1)
+
+
+def _row_tangles(amps: np.ndarray) -> np.ndarray:
+    """The tangles of (M, 8) rows from one invariants call, with the norm
+    and monogamy checks of a one-row tangle(PureState3(...))."""
+    qstate._check_norms(amps)
+    r, c, hdet = entanglement.invariants(amps)
+    return entanglement._tangles(hdet, r, c)
 
 
 @register("chain-spectra")
 def _check_chain_spectra(rng: np.random.Generator, points: int = 21) -> str:
+    pairs = _chain_points(points)
+    h = _hamiltonians(pairs)
+    evals, evecs = chains.eigensystem(h)
+    worst_res = float(np.max(np.linalg.norm(h @ evecs - evecs * evals[:, None, :], axis=1)))
     worst = 0.0
-    worst_res = 0.0
-    for name in chains.MODELS:
-        for d in _chain_grid(name, points):
-            h = chains.build_hamiltonian(name, float(d))
-            evals, evecs = chains.eigensystem(h)
-            closed = chains.closed_form_spectrum(name, float(d))
-            expanded = np.sort(np.repeat([e for e, _ in closed], [m for _, m in closed]))
-            assert expanded.size == 8, "multiplicities do not sum to 8"
-            worst = max(worst, float(np.max(np.abs(evals - expanded))))
-            worst_res = max(worst_res, float(np.max(
-                np.linalg.norm(h @ evecs - evecs * evals, axis=0))))
-            merged = chains.merge_levels(closed)
-            assert sum(m for _, m in merged) == 8
-            assert all(b - a > chains.GAP_TOL for (a, _), (b, _) in zip(merged, merged[1:]))
+    for (name, d), ev in zip(pairs, evals):
+        closed = chains.closed_form_spectrum(name, d)
+        expanded = np.sort(np.repeat([e for e, _ in closed], [m for _, m in closed]))
+        assert expanded.size == 8, "multiplicities do not sum to 8"
+        worst = max(worst, float(np.max(np.abs(ev - expanded))))
+        merged = chains.merge_levels(closed)
+        assert sum(m for _, m in merged) == 8
+        assert all(b - a > chains.GAP_TOL for (a, _), (b, _) in zip(merged, merged[1:]))
     assert worst <= 1e-10, f"closed spectra off by {worst:.3e}"
     assert worst_res <= 1e-9, f"numeric eigenpair residual {worst_res:.3e}"
     for name, spots in chains.CROSSINGS.items():
@@ -648,23 +668,13 @@ def _check_chain_spectra(rng: np.random.Generator, points: int = 21) -> str:
 
 @register("chain-eigenstates", stream=18)
 def _check_chain_eigenstates(rng: np.random.Generator, points: int = 5) -> str:
-    worst = 0.0
-    for name in chains.MODELS:
-        for d in _chain_grid(name, points):
-            h = chains.build_hamiltonian(name, float(d))
-            closed = chains.closed_form_spectrum(name, float(d))
-            for n in range(chains.LEVEL_COUNT[name]):
-                e = closed[n][0]
-                for s, _ in _level_states(name, n, float(d), rng):
-                    worst = max(worst, float(np.linalg.norm(h @ s.amp - e * s.amp)))
+    pairs = _chain_points(points)
+    amps, point, energy, _ = _grid_members(pairs, rng)
+    worst = float(np.max(_residuals(_hamiltonians(pairs)[point], amps, energy)))
     assert worst <= 1e-9, f"closed eigenstate residual {worst:.3e}"
-    h1 = chains.build_hamiltonian("tfim", 1.0)
-    e2 = chains.closed_form_spectrum("tfim", 1.0)[2][0]
-    fused_res = 0.0
-    for _ in range(3):
-        params = chains._random_params(3, rng)
-        s = chains.closed_form_eigenstate("tfim", 2, 1.0, params)
-        fused_res = max(fused_res, float(np.linalg.norm(h1 @ s.amp - e2 * s.amp)))
+    amps = chains._level_members("tfim", 2, 1.0, chains._draw_members(3, 3, rng))
+    e2 = np.full(3, chains.closed_form_spectrum("tfim", 1.0)[2][0])
+    fused_res = float(np.max(_residuals(chains.build_hamiltonian("tfim", 1.0), amps, e2)))
     assert fused_res <= 1e-9, f"merged-subspace residual {fused_res:.3e}"
     _expect(CrossingPoint, chains.closed_form_eigenstate,
             "tfim", 2, 0.7, chains._random_params(3, rng))
@@ -676,50 +686,38 @@ def _check_chain_eigenstates(rng: np.random.Generator, points: int = 5) -> str:
 
 @register("chain-tangles", stream=19)
 def _check_chain_tangles(rng: np.random.Generator, points: int = 7, fused: int = 6) -> str:
-    worst = 0.0
-    for name in chains.MODELS:
-        for d in _chain_grid(name, points):
-            # one invariants call and monogamy cross-check per grid point
-            closed, amps = zip(*[
-                (chains.closed_form_tangle(name, n, float(d), params), s.amp)
-                for n in range(chains.LEVEL_COUNT[name])
-                for s, params in _level_states(name, n, float(d), rng)])
-            r, c, hdet = entanglement.invariants(np.array(amps))
-            tau = 4.0 * np.abs(hdet)
-            entanglement.check_monogamy(r, c, tau)
-            worst = max(worst, float(np.max(np.abs(np.array(closed) - tau))))
+    amps, _, _, closed = _grid_members(_chain_points(points), rng)
+    worst = float(np.max(np.abs(closed - _row_tangles(amps))))
     assert worst <= 1e-8, f"closed tangles drift from 4|Hdet| by {worst:.3e}"
     anchor = chains.closed_form_tangle("xzx", 1, 0.0)
     assert abs(anchor - 1.0 / 3.0) <= 1e-12, \
         f"cluster-point single-excitation tangle is {anchor}, not 1/3"
-    fused_worst = 0.0
-    for _ in range(fused):
-        params = chains._random_params(3, rng)
-        s = chains.closed_form_eigenstate("tfim", 2, 1.0, params)
-        fused_worst = max(fused_worst, abs(
-            chains.closed_form_tangle("tfim", 2, 1.0, params) - entanglement.tangle(s)))
+    coeffs = chains._draw_members(3, fused, rng)
+    fused_tau = _row_tangles(chains._level_members("tfim", 2, 1.0, coeffs))
+    fused_worst = float(np.max(np.abs(chains._level_tangles("tfim", 2, 1.0, coeffs) - fused_tau)))
     assert fused_worst <= 1e-9, f"merged-subspace tangle off by {fused_worst:.3e}"
-    for th in (0.0, 1.1, 2.3, 4.0):
-        zeroed = chains.SuperpositionParams(alpha=0.6 * np.exp(1j * th), beta=0.8, gamma=0j)
-        assert chains.closed_form_tangle("tfim", 2, 1.0, zeroed) <= 1e-12, \
-            "members without the even component must be tangle-free"
+    zeroed = np.array([(0.6 * np.exp(1j * th), 0.8, 0.0) for th in (0.0, 1.1, 2.3, 4.0)])
+    assert chains._level_tangles("tfim", 2, 1.0, zeroed).max() <= 1e-12, \
+        "members without the even component must be tangle-free"
     return f"{points}-point grids, worst {worst:.1e}; {fused} merged members {fused_worst:.1e}"
 
 
 @register("chain-bloch-families", stream=20)
 def _check_chain_bloch_families(rng: np.random.Generator) -> str:
-    worst = 0.0
+    closed, amps = [], []
     for (name, n) in chains._DEG_FAMILY:
         if (name, n) == ("xxx", 2):
             _expect(UnsupportedType, chains.degenerate_bloch_family,
                     name, n, chains._random_params(4, rng))
             continue
         d = 0.4 if name != "xxx" else -0.6
-        for _ in range(4):
-            params = chains._random_params(2, rng)
-            bt = chains.degenerate_bloch_family(name, n, params)
-            num = entanglement.bloch_triple(chains.closed_form_eigenstate(name, n, d, params))
-            worst = max(worst, float(np.max(np.abs(bt.as_array() - num.as_array()))))
+        coeffs = chains._draw_members(2, 4, rng)
+        closed += [chains.degenerate_bloch_family(
+            name, n, chains.SuperpositionParams(a, b.real)).as_array() for a, b in coeffs.tolist()]
+        amps.append(chains._level_members(name, n, d, coeffs))
+    amps = np.concatenate(amps)
+    qstate._check_norms(amps)
+    worst = float(np.max(np.abs(np.array(closed) - entanglement.invariants(amps)[0])))
     assert worst <= 1e-10, f"family Bloch norms off by {worst:.3e}"
     _expect(NotDegenerate, chains.degenerate_bloch_family,
             "tfim", 0, chains._random_params(2, rng))
@@ -772,21 +770,20 @@ def _check_sweep_determinism(rng: np.random.Generator, points: int = 5) -> str:
 @register("perturbation-probe")
 def _check_perturbation_probe(rng: np.random.Generator) -> str:
     xi = 1e-3
-    probe = xi * chains.pauli_string("ZII")
+    pairs = [(name, d) for name in chains.MODELS for d in (0.6, 0.7, 0.75, 0.8)]
+    evals, evecs = chains.eigensystem(_hamiltonians(pairs) + xi * chains.pauli_string("ZII"))
+    taus = _row_tangles(evecs.swapaxes(1, 2).reshape(-1, 8)).reshape(-1, 8)
     worst_deg = 0.0
     worst_shift = 0.0
-    for d in (0.6, 0.7, 0.75, 0.8):
-        for name in ("xx", "xxx"):
-            _, evecs = chains.eigensystem(chains.build_hamiltonian(name, d) + probe)
-            for j in range(8):
-                worst_deg = max(worst_deg, entanglement.tangle(qstate.PureState3(evecs[:, j])))
-        for name, levels in (("tfim", (0, 1, 2, 5)), ("xzx", (0, 1, 4, 5))):
-            ep, vp = chains.eigensystem(chains.build_hamiltonian(name, d) + probe)
-            closed = chains.closed_form_spectrum(name, d)
-            for n in levels:
-                jp = int(np.argmin(np.abs(ep - closed[n][0])))
-                tp = entanglement.tangle(qstate.PureState3(vp[:, jp]))
-                worst_shift = max(worst_shift, abs(tp - chains.closed_form_tangle(name, n, d)))
+    for (name, d), ep, tau in zip(pairs, evals, taus):
+        if name in ("xx", "xxx"):
+            worst_deg = max(worst_deg, float(tau.max()))
+            continue
+        closed = chains.closed_form_spectrum(name, d)
+        for n in (0, 1, 2, 5) if name == "tfim" else (0, 1, 4, 5):
+            jp = int(np.argmin(np.abs(ep - closed[n][0])))
+            closed_tau = chains._level_tangles(name, n, d, None)[0]
+            worst_shift = max(worst_shift, abs(tau[jp] - closed_tau))
     assert worst_deg < 1e-2, \
         f"probe-selected members of degenerate levels reach tangle {worst_deg:.3e}"
     assert worst_shift <= 10.0 * xi, \

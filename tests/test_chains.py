@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import ghz, haar_state, ket, w_state
+from triqent import chains, entanglement
 from triqent import (
     CROSSINGS,
     MODELS,
@@ -567,6 +568,38 @@ def test_perturbed_sweep_drops_closed_columns():
     assert len(table) == 16
     assert table.energy_closed == table.tau_closed == (None,) * 16
     assert None not in table.tau_numeric
+
+
+@pytest.mark.parametrize("name", ("tfim", "xzx"))
+def test_sweep_tangles_never_exceed_one(name):
+    # level 1 of tfim and level 0 of xzx are GHZ-like at delta = 0, where
+    # rounding lands 4 |Hdet| and the closed form a few ulp above 1
+    table = sweep(name, np.linspace(0.0, 2.5, 26).tolist())
+    assert max(table.tau_numeric) <= 1.0
+    assert max(table.tau_closed) <= 1.0
+    assert closed_form_tangle("tfim", 1, 0.0) <= 1.0
+
+
+@pytest.mark.parametrize("policy, perturb", [("grid", 0.0), ("mc", 0.0), ("grid", 1e-3)])
+@pytest.mark.parametrize("points", (1, 9))
+def test_sweep_measures_its_whole_grid_in_one_batch(monkeypatch, policy, perturb, points):
+    calls = {"invariants": 0, "check_monogamy": 0}
+
+    def counted(module, fname):
+        fn = getattr(module, fname)
+
+        def wrapper(*args, **kwargs):
+            calls[fname] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, fname, wrapper)
+
+    # the monogamy check runs inside entanglement._tangles
+    counted(chains, "invariants")
+    counted(entanglement, "check_monogamy")
+    table = sweep("xxx", np.linspace(-2.0, 2.0, points).tolist(), params_policy=policy,
+                  perturb=perturb, seed=1)
+    assert len(table) == points * (8 if perturb else 120)
+    assert calls == {"invariants": 1, "check_monogamy": 1}
 
 
 def test_sweep_validation():

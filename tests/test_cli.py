@@ -297,32 +297,50 @@ def test_verify_json_rows_have_the_expected_fields(capsys):
 
 # sha256 of each command's output, taken before the sweep and the formatter
 # were vectorised; numpy 2.4 on x86-64 with OpenBLAS. Another LAPACK build
-# may move the last digits of the numeric columns.
+# may move the last digits of the numeric columns. A command's output is
+# byte-identical from run to run, but a row's last bit may depend on how many
+# rows share its batch.
 GOLDEN = {
+    # re-pinned when every tau was clipped at 1: level 1 at delta = 0 moved
+    # from tau_numeric 1.0000000000000007 and tau_closed 1.0000000000000004
+    # to 1 (one row each, by 6.7e-16 and 4.4e-16)
     "sweep --model tfim --delta-min 0 --delta-max 2.5 --points 26 --seed 0":
-        "96c7758f34bfcb0b3a26d5a6e4ca8bd0587f001f0160c02ed187ce00ac9ab353",
+        "6741422a0f51c0aa30a000fa013e0c16c13faa147050250d05866c28fa33119e",
     "sweep --model xx --delta-min 0 --delta-max 3.5 --points 26 --seed 0":
         "b901b7e68091c5a10902b6cd5c6e2a18718982848f8f22955a85a1bcd4fefb9e",
+    # re-pinned when the sweep read every grid point in one invariants call
+    # (r_a, r_b, r_c moved by at most 2.2e-16 on 83-100 rows) and tau became
+    # 4 hypot(Hdet) (tau_numeric moved by at most 5.6e-17 on 351 rows)
     "sweep --model xxx --delta-min -2 --delta-max 2 --points 26 --seed 0":
-        "c5543c8889dc4c4461e5300cfe00d3e3df9fa60fd146a565a4425f91b99f0c5c",
+        "b597494fe7124737d607bd6f57db999d2bafb57bb16e38bee7e6f94c92a8462f",
+    # re-pinned for the clip at 1, as the tfim sweep above (level 0 at
+    # delta = 0, one row each in tau_numeric and tau_closed)
     "sweep --model xzx --delta-min 0 --delta-max 2.5 --points 26 --seed 0":
-        "561e051359e33d93cb54371a0852274949d3c04bd90d4c01a962e36159a15604",
+        "a4fa72d97619e2670bb8f95fd1767d6d9ceabe280b87663ee8af67559c5963c4",
+    # re-pinned for the one invariants call and 4 hypot(Hdet) (r_a, r_b, r_c
+    # on 83-90 rows and tau_numeric on 1,115 rows, each by at most 2.2e-16)
+    # and for b * b in place of b ** 2 in the closed xxx tangles (tau_closed
+    # on 3 rows, by at most 2.2e-16)
     "sweep --model xxx --delta-min -2 --delta-max 2 --points 26 --params-policy mc --seed 5":
-        "c38a79ffbde687516ff2fba49364a2d0a7ee7525ccbc133ea8efdc1f48a66be6",
+        "bab0ceb4233ce1162edd3531e13a778d4c463bca0b4b99e15904990c218c229b",
     "sweep --model tfim --delta-min 0 --delta-max 2.5 --points 26 --perturb 1e-3 --seed 0":
         "5e85662f1d1c13f7f08c6e57602097a9ad529501feb8ea4ba619bab06e8f1174",
     # re-pinned when the Haar unitaries became a closed form (the cells moved
-    # by at most 3.1e-15)
+    # by at most 3.1e-15), and again when tau became 4 hypot(Hdet) (tau moved
+    # by at most 1.1e-16 on 491 rows)
     "sample --n 200 --seed 5":
-        "9ab9d1aa33851dd73fd8ceef6f15a83492c8e5609aae5596120cfccb5eb2e54e",
+        "07d104adbe3279c8a6f29dd08a468bd43959db71f9dea1604f4dcffc7577c2e8",
     "bounds":
         "09b1b6f77d0a60de9d68fc78a4e51edbf6e05397259defbe7fae6999e36f2e86",
     # taken before a sweep's grid was diagonalized as one stack: 1,600 rows,
     # 7,200 rows, and detail cells that hold commas
     "sweep --model xx --delta-min 0.3 --delta-max 1.9 --points 200 --perturb 0.004 --seed 3":
         "749f70493ca95aab8813570da104f2392238c96d848d5e1926561e2f235635f3",
+    # re-pinned as the 26-point mc sweep above: r_a, r_b, r_c on 192-211 rows,
+    # tau_numeric on 2,581 rows and tau_closed on 6 rows, each by at most
+    # 2.2e-16
     "sweep --model xxx --delta-min -2 --delta-max 2 --points 60 --params-policy mc --seed 5":
-        "57455a15f16de904da4f166347c5b151783038b15f78472290b5927316268940",
+        "0d3e2c3e7766975832077ae663b4f4633e4fbf53f6a5a8193586ab1bb459dc1f",
     "verify --check sweep-determinism --check chain-spectra --format csv":
         "67be41ba7bf3e4de5c075b85b24ccb231f0e858aee72a9744f17d8e4091f7b39",
     # the whole battery, taken before normalize and the local unitaries were

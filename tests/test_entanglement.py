@@ -21,7 +21,7 @@ from triqent import (
     reduce_one,
     tangle,
 )
-from triqent.entanglement import _pair_rho, _YY, invariants
+from triqent.entanglement import _pair_rho, _tangles, _YY, invariants
 from triqent.qstate import _sample_type_batch
 
 
@@ -183,6 +183,18 @@ def test_tangle_clips_only_a_rounding_excess():
         tangle(far)
     with pytest.raises(NumericalError, match="exceeds 1"):
         tangle(far, check=False)
+
+
+def test_batch_tangles_are_scalar_abs_clipped_at_one():
+    rng = np.random.default_rng(83)
+    amps = np.array([haar_state(rng).amp for _ in range(200)] + [normalize(GHZ_KET).amp])
+    r, c, hdet = invariants(amps)
+    taus = _tangles(hdet, r, c)
+    # 4 |Hdet| as abs() of each complex scalar gives it, bit for bit
+    assert taus.tolist() == [min(4.0 * abs(h), 1.0) for h in hdet.tolist()]
+    assert taus[-1] == 1.0 < 4.0 * abs(complex(hdet[-1]))
+    with pytest.raises(NumericalError, match="exceeds 1"):
+        _tangles(np.array([0.1 + 0j, 0.325 + 0j]))
 
 
 def test_tangle_cross_check_can_be_disabled():
