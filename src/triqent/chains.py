@@ -7,7 +7,9 @@ each level's tangle is under a symmetry-breaking perturbation.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -151,8 +153,12 @@ def build_hamiltonian(model, delta=None) -> np.ndarray:
         _check_model(name, d.tolist())
         d = d[:, None, None]
     h = np.zeros(np.shape(d)[:1] + (8, 8), dtype=complex)
-    for role, sign, s in _TERMS[name]:
-        h += (sign if role == "unit" else sign * d) * _PAULI_TABLE[s]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for role, sign, s in _TERMS[name]:
+            h += (sign if role == "unit" else sign * d) * _PAULI_TABLE[s]
+    if not np.isfinite(h).all():
+        finite = np.isfinite(h).reshape(-1, 64).all(axis=1)
+        raise OutOfDomain(f"{name} Hamiltonian overflows at delta = {np.ravel(d)[~finite][0]}")
     return h
 
 
@@ -182,8 +188,58 @@ def eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (evals, vecs) if h.ndim == 3 else (evals[0], vecs[0])
 
 
-def _ab(d: float) -> tuple[float, float]:
-    return float(np.sqrt(1.0 + d + d * d)), float(np.sqrt(1.0 - d + d * d))
+# The closed forms below take one coupling d, a Python float, or a grid d
+# (P,), and give floats or arrays like d: one set of formulas for both. A
+# float's arithmetic stays in Python floats, which overflow to inf without a
+# warning, and math.sqrt and np.sqrt are both correctly rounded, so a
+# coupling's bits do not depend on the path.
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _quiet(d):
+    """Silence numpy's overflow warnings, unless d is a Python float."""
+    return contextlib.nullcontext() if type(d) is float else np.errstate(over="ignore")
+
+
+def _ab(d):
+    """(sqrt(1 + d + d^2), sqrt(1 - d + d^2)); inf where d^2 overflows."""
+    with _quiet(d):
+        return _sqrt(1.0 + d + d * d), _sqrt(1.0 - d + d * d)
+
+
+def _refuse_overflow(name: str, d, values) -> None:
+    """Refuse the first coupling of d at which one of values, closed energies
+    or normalizers, overflowed."""
+    if not isinstance(d, np.ndarray):
+        if not all(map(math.isfinite, values)):
+            raise OutOfDomain(f"{name} closed form overflows at delta = {d}")
+        return
+    finite = np.isfinite(np.stack(values)).all(axis=0)
+    if not finite.all():
+        raise OutOfDomain(f"{name} closed form overflows at delta = {d[~finite][0]}")
+
+
+def _energies(name: str, d) -> tuple[tuple, tuple[int, ...]]:
+    """The closed energies of every level in listing order, and the generic
+    multiplicities."""
+    a, b = _ab(d)
+    with _quiet(d):
+        if name == "tfim":
+            energies = (-d - 2 * b - 1, d - 2 * a - 1, -d + 2 * b - 1, 1 - d, d + 1, d + 2 * a - 1)
+            mults = (1, 1, 1, 2, 2, 1)
+        elif name == "xx":
+            energies = (-d - 4, d - 4, -3 * d, 3 * d, 2 - d, 2 + d)
+            mults = (1, 1, 1, 1, 2, 2)
+        elif name == "xxx":
+            energies = (3 * d, 4 - d, -d - 2)
+            mults = (2, 2, 4)
+        else:
+            energies = (d - 2 * a - 1, -d - 2 * a + 1, -1 + d, 1 - d, d + 2 * a - 1, -d + 2 * a + 1)
+            mults = (1, 1, 2, 2, 1, 1)
+    _refuse_overflow(name, d, energies)
+    return energies, mults
 
 
 def closed_form_spectrum(model, delta: float | None = None) -> list[tuple[float, int]]:
@@ -192,22 +248,12 @@ def closed_form_spectrum(model, delta: float | None = None) -> list[tuple[float,
     The listing order is the stable label n used by the eigenstate and tangle
     formulas; it is ascending in energy for small coupling but levels may
     pass each other as delta grows. Multiplicities are the generic ones,
-    valid away from crossings; use merge_levels to fold coincidences.
+    valid away from crossings; use merge_levels to fold coincidences. One
+    coupling of the whole-grid spectrum a sweep computes.
     """
     cm = _as_model(model, delta)
-    d = cm.delta
-    a, b = _ab(d)
-    if cm.name == "tfim":
-        rows = [(-d - 2 * b - 1, 1), (d - 2 * a - 1, 1), (-d + 2 * b - 1, 1),
-                (1 - d, 2), (d + 1, 2), (d + 2 * a - 1, 1)]
-    elif cm.name == "xx":
-        rows = [(-d - 4, 1), (d - 4, 1), (-3 * d, 1), (3 * d, 1), (2 - d, 2), (2 + d, 2)]
-    elif cm.name == "xxx":
-        rows = [(3 * d, 2), (4 - d, 2), (-d - 2, 4)]
-    else:
-        rows = [(d - 2 * a - 1, 1), (-d - 2 * a + 1, 1), (-1 + d, 2),
-                (1 - d, 2), (d + 2 * a - 1, 1), (-d + 2 * a + 1, 1)]
-    return [(float(e), int(m)) for e, m in rows]
+    energies, mults = _energies(cm.name, float(cm.delta))
+    return [(float(e), m) for e, m in zip(energies, mults)]
 
 
 def merge_levels(levels, tol: float = GAP_TOL) -> list[tuple[float, int]]:
@@ -227,7 +273,7 @@ def _ket(index: int) -> np.ndarray:
     return v
 
 
-_SQRT3 = np.sqrt(3.0)
+_SQRT3 = math.sqrt(3.0)
 _OMEGA = np.exp(2j * np.pi / 3)
 
 GHZ_KET = (_ket(0b000) + _ket(0b111)) / np.sqrt(2.0)
@@ -314,64 +360,66 @@ def _params_row(params: SuperpositionParams | None) -> np.ndarray | None:
     return np.array([[complex(v) for v in fields[:params.n_components]]])
 
 
-def _tfim_fg(d: float) -> dict[int, tuple[float, float]]:
+def _tfim_fg(d) -> dict:
+    """(f, g) of each non-degenerate tfim level."""
     a, b = _ab(d)
-    f0 = -1.0 + 2.0 * d + 2.0 * b
-    f1 = 2.0 * d + 2.0 * a + 1.0
-    f2 = -2.0 * d + 1.0 + 2.0 * b
-    f5 = -2.0 * d - 1.0 + 2.0 * a
-    return {
-        0: (f0, float(np.sqrt(f0 * f0 + 3.0))),
-        1: (f1, float(_SQRT3 * np.sqrt(f1 * f1 + 3.0))),
-        2: (f2, float(np.sqrt(f2 * f2 + 3.0))),
-        5: (f5, float(_SQRT3 * np.sqrt(f5 * f5 + 3.0))),
-    }
+    with _quiet(d):
+        f0 = -1.0 + 2.0 * d + 2.0 * b
+        f1 = 2.0 * d + 2.0 * a + 1.0
+        f2 = -2.0 * d + 1.0 + 2.0 * b
+        f5 = -2.0 * d - 1.0 + 2.0 * a
+        fg = {
+            0: (f0, _sqrt(f0 * f0 + 3.0)),
+            1: (f1, _SQRT3 * _sqrt(f1 * f1 + 3.0)),
+            2: (f2, _sqrt(f2 * f2 + 3.0)),
+            5: (f5, _SQRT3 * _sqrt(f5 * f5 + 3.0)),
+        }
+    _refuse_overflow("tfim", d, [g for _, g in fg.values()])
+    return fg
 
 
-def _xzx_fg(d: float) -> dict[int, tuple[float, float]]:
+def _xzx_fg(d) -> dict:
+    """(f, g) of each non-degenerate xzx level."""
     a, _ = _ab(d)
-    f0 = 2.0 * d + 2.0 * a + 1.0
-    f4 = -2.0 * d + 2.0 * a - 1.0
-    return {
-        0: (f0, float(_SQRT3 * np.sqrt(f0 * f0 + 3.0))),
-        1: (f0, float(_SQRT3 * np.sqrt(f0 * f0 + 3.0))),
-        4: (f4, float(_SQRT3 * np.sqrt(f4 * f4 + 3.0))),
-        5: (f4, float(np.sqrt(f4 * f4 + 3.0))),
-    }
+    with _quiet(d):
+        f0 = 2.0 * d + 2.0 * a + 1.0
+        f4 = -2.0 * d + 2.0 * a - 1.0
+        fg = {
+            0: (f0, _SQRT3 * _sqrt(f0 * f0 + 3.0)),
+            1: (f0, _SQRT3 * _sqrt(f0 * f0 + 3.0)),
+            4: (f4, _SQRT3 * _sqrt(f4 * f4 + 3.0)),
+            5: (f4, _sqrt(f4 * f4 + 3.0)),
+        }
+    _refuse_overflow("xzx", d, [g for _, g in fg.values()])
+    return fg
 
 
-def _nondeg_vector(name: str, n: int, d: float) -> np.ndarray | None:
+def _nondeg_vector(name: str, n: int, d) -> np.ndarray:
+    """(P, 8) eigenvectors of the non-degenerate level n, one row per
+    coupling."""
+    if name == "xx":
+        return np.tile((W_KET, X3W_KET, _ket(0b000), _ket(0b111))[n], (np.size(d), 1))
+    f, g = (_tfim_fg if name == "tfim" else _xzx_fg)(d)[n]
+    if isinstance(d, np.ndarray):
+        f, g = f[:, None], g[:, None]
     if name == "tfim":
-        fg = _tfim_fg(d)
         if n == 0:
-            f, g = fg[0]
-            return (f * _ket(0b000) + _SQRT3 * X3W_KET) / g
-        if n == 1:
-            f, g = fg[1]
-            return (f * _SQRT3 * W_KET + 3.0 * _ket(0b111)) / g
-        if n == 2:
-            f, g = fg[2]
-            return (-f * _ket(0b000) + _SQRT3 * X3W_KET) / g
-        if n == 5:
-            f, g = fg[5]
-            return (-f * _SQRT3 * W_KET + 3.0 * _ket(0b111)) / g
-    elif name == "xx":
-        return (W_KET, X3W_KET, _ket(0b000), _ket(0b111))[n] if n <= 3 else None
-    elif name == "xzx":
-        fg = _xzx_fg(d)
-        if n == 0:
-            f, g = fg[0]
-            return (3.0 * _ket(0b111) - f * _SQRT3 * W_KET) / g
-        if n == 1:
-            f, g = fg[1]
-            return (_SQRT3 * f * _ket(0b000) + 3.0 * X3W_KET) / g
-        if n == 4:
-            f, g = fg[4]
-            return (3.0 * _ket(0b111) + _SQRT3 * f * W_KET) / g
-        if n == 5:
-            f, g = fg[5]
-            return (-f * _ket(0b000) + _SQRT3 * X3W_KET) / g
-    return None
+            num = f * _ket(0b000) + _SQRT3 * X3W_KET
+        elif n == 1:
+            num = f * _SQRT3 * W_KET + 3.0 * _ket(0b111)
+        elif n == 2:
+            num = -f * _ket(0b000) + _SQRT3 * X3W_KET
+        else:
+            num = -f * _SQRT3 * W_KET + 3.0 * _ket(0b111)
+    elif n == 0:
+        num = 3.0 * _ket(0b111) - f * _SQRT3 * W_KET
+    elif n == 1:
+        num = _SQRT3 * f * _ket(0b000) + 3.0 * X3W_KET
+    elif n == 4:
+        num = 3.0 * _ket(0b111) + _SQRT3 * f * W_KET
+    else:
+        num = -f * _ket(0b000) + _SQRT3 * X3W_KET
+    return (num / g).reshape(-1, 8)
 
 
 def _check_level(name: str, n) -> int:
@@ -422,14 +470,15 @@ def _abs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _level_members(name: str, n: int, d: float, coeffs: np.ndarray | None) -> np.ndarray:
-    """(M, 8) closed-form members of level n, one per row of the (M, k)
-    member coefficients (alpha, beta, gamma, delta)[:k].
+def _level_members(name: str, n: int, d, coeffs: np.ndarray | None) -> np.ndarray:
+    """(M, 8) closed-form members of level n at the coupling d, one per row of
+    the (M, k) member coefficients (alpha, beta, gamma, delta)[:k].
 
-    A non-degenerate level takes coeffs=None and gives its one eigenvector;
-    a degenerate one needs coeffs, three-component rows picking members of
-    the fused transverse-field subspace. Each member is summed coefficient
-    by basis ket in the family's order.
+    A non-degenerate level takes coeffs=None and gives its eigenvector at
+    each coupling of d, one coupling or a grid (P,); a degenerate one needs
+    coeffs, whose members do not depend on d, three-component rows picking
+    members of the fused transverse-field subspace. Each member is summed
+    coefficient by basis ket in the family's order.
     """
     k = None if coeffs is None else coeffs.shape[1]
     if _fused_member(name, n, d, k):
@@ -440,7 +489,7 @@ def _level_members(name: str, n: int, d: float, coeffs: np.ndarray | None) -> np
             if coeffs is not None:
                 raise ValidationError(
                     f"{name} level {n} is non-degenerate; params do not apply")
-            return _nondeg_vector(name, n, d)[None, :]
+            return _nondeg_vector(name, n, d)
         if coeffs is None:
             raise NeedParams(f"{name} level {n} is degenerate; pass SuperpositionParams")
         basis, cols = family
@@ -459,23 +508,30 @@ _NONDEG_TANGLE = {
 }
 
 
-def _fixed_tangle(name: str, n: int, d: float, k: int | None) -> float:
-    """Tangle of a tfim, xx or xzx level, which is the same for every member
-    of a degenerate level, so such levels take params (k components) or none."""
+def _fixed_tangle(name: str, n: int, d, coeffs: np.ndarray | None) -> np.ndarray:
+    """Tangles of a tfim, xx or xzx level: one per coupling, or one per row
+    of coeffs for a degenerate level, whose members all share the tangle,
+    so such levels take two-component coeffs or none."""
+    if coeffs is not None:
+        if (name, n) not in _DEG_FAMILY:
+            raise ValidationError(f"{name} level {n} is non-degenerate; params do not apply")
+        _require_components(coeffs.shape[1], 2, f"{name} level {n}")
     if (name, n) in _NONDEG_TANGLE:
         c, p = _NONDEG_TANGLE[(name, n)]
         f, g = (_tfim_fg if name == "tfim" else _xzx_fg)(d)[n]
-        return float(c * f ** p / g ** 4)
-    if k is not None:
-        if (name, n) not in _DEG_FAMILY:
-            raise ValidationError(f"{name} level {n} is non-degenerate; params do not apply")
-        _require_components(k, 2, f"{name} level {n}")
-    return 0.0
+        # Python floats keep libm's pow, whose bits numpy's vectorised power
+        # does not match; where g ** 4 would overflow the tangle is below 1e-230
+        f, g = (f.tolist(), g.tolist()) if isinstance(d, np.ndarray) else ([f], [g])
+        return np.array([c * fi ** p / gi ** 4 if gi < 2.0 ** 255
+                         else c * (fi / gi) ** p * (1.0 / gi) ** (4 - p)
+                         for fi, gi in zip(f, g)])
+    return np.zeros(np.size(d) if coeffs is None else len(coeffs))
 
 
-def _level_tangles(name: str, n: int, d: float, coeffs: np.ndarray | None) -> np.ndarray:
+def _level_tangles(name: str, n: int, d, coeffs: np.ndarray | None) -> np.ndarray:
     """(M,) closed-form tangles of the members _level_members builds from the
-    same coeffs (one row for coeffs=None), clipped at 1 like _tangles.
+    same d and coeffs (one row per coupling for coeffs=None), clipped at 1
+    like _tangles.
 
     The arithmetic is that of the scalar formulas: complex products without
     a fused multiply-add, libm's hypot.
@@ -490,7 +546,7 @@ def _level_tangles(name: str, n: int, d: float, coeffs: np.ndarray | None) -> np
         mag = _abs(g)
         tau = mag * mag * _abs(inner)
     elif name != "xxx":
-        tau = np.full(1 if coeffs is None else len(coeffs), _fixed_tangle(name, n, d, k))
+        tau = _fixed_tangle(name, n, d, coeffs)
     # xxx: every level is degenerate and the tangle varies over each subspace
     elif coeffs is None:
         raise NeedParams(f"xxx level {n} tangle depends on the member; pass params")
@@ -527,7 +583,7 @@ def closed_form_eigenstate(model, n: int, delta: float | None = None,
     """
     cm = _as_model(model, delta)
     n = _check_level(cm.name, n)
-    return PureState3(_level_members(cm.name, n, cm.delta, _params_row(params))[0])
+    return PureState3(_level_members(cm.name, n, float(cm.delta), _params_row(params))[0])
 
 
 def closed_form_tangle(model, n: int, delta: float | None = None,
@@ -540,7 +596,7 @@ def closed_form_tangle(model, n: int, delta: float | None = None,
     """
     cm = _as_model(model, delta)
     n = _check_level(cm.name, n)
-    return float(_level_tangles(cm.name, n, cm.delta, _params_row(params))[0])
+    return float(_level_tangles(cm.name, n, float(cm.delta), _params_row(params))[0])
 
 
 @dataclass(frozen=True)
@@ -576,20 +632,32 @@ def _eigen_label(image: np.ndarray, amps: np.ndarray, tol: float,
     return out.tolist()
 
 
-def symmetry_label_rows(amps: np.ndarray, tol: float = 1e-9) -> dict[str, list]:
+def _site_permuted(amps: np.ndarray, axes) -> np.ndarray:
+    return np.transpose(amps.reshape(-1, 2, 2, 2), axes).reshape(-1, 8)
+
+
+# per SymmetryLabels field: the symmetry's image of (n, 8) rows, then its
+# eigenvalues and their labels (None: the eigenvalues themselves)
+_LABELS = {
+    "k": (lambda a: _site_permuted(a, (0, 3, 1, 2)), _K_PHASES, (0, 1, 2)),
+    "p": (lambda a: a[:, ::-1], (1, -1), None),
+    "m_z": (lambda a: _MZ_DIAG * a, (3, 1, -1, -3), None),
+    "refl": (lambda a: _site_permuted(a, (0, 3, 2, 1)), (1, -1), None),
+    "zflip": (lambda a: _ZFLIP_DIAG * a, (1, -1), None),
+}
+
+
+def symmetry_label_rows(amps: np.ndarray, tol: float = 1e-9,
+                        names=tuple(_LABELS)) -> dict[str, list]:
     """The symmetry labels of each row of an (n, 8) amplitude array, as one
-    list per SymmetryLabels field, keyed by the field's name."""
+    list per named SymmetryLabels field (all five by default), keyed by the
+    field's name."""
+    unknown = set(names) - set(_LABELS)
+    if unknown:
+        raise ValidationError(
+            f"no symmetry label named {sorted(unknown)}; labels are {tuple(_LABELS)}")
     amps = np.asarray(amps, dtype=complex).reshape(-1, 8)
-    t = amps.reshape(-1, 2, 2, 2)
-    shifted = np.transpose(t, (0, 3, 1, 2)).reshape(-1, 8)
-    mirrored = np.transpose(t, (0, 3, 2, 1)).reshape(-1, 8)
-    return {
-        "k": _eigen_label(shifted, amps, tol, _K_PHASES, (0, 1, 2)),
-        "p": _eigen_label(amps[:, ::-1], amps, tol),
-        "m_z": _eigen_label(_MZ_DIAG * amps, amps, tol, (3, 1, -1, -3)),
-        "refl": _eigen_label(mirrored, amps, tol),
-        "zflip": _eigen_label(_ZFLIP_DIAG * amps, amps, tol),
-    }
+    return {f: _eigen_label(_LABELS[f][0](amps), amps, tol, *_LABELS[f][1:]) for f in names}
 
 
 def symmetry_labels(s: PureState3, tol: float = 1e-9) -> SymmetryLabels:
@@ -680,11 +748,16 @@ def _draw_members(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, k) random members: complex normal rows, normalized, with the
     global phase spent making beta (column 1) real and non-negative.
 
-    The stream and the arithmetic are those of count one-row draws: each
-    row's norm comes from BLAS dot products of its real and imaginary parts,
-    as np.linalg.norm computes it.
+    The stream and the arithmetic are those of count one-row draws.
     """
-    x = rng.normal(size=(count, 2, k))
+    return _normal_members(rng.normal(size=(count, 2, k)))
+
+
+def _normal_members(x: np.ndarray) -> np.ndarray:
+    """(N, k) members from (N, 2, k) standard normals, the real and imaginary
+    parts of each row; each row's norm comes from BLAS dot products of its
+    real and imaginary parts, as np.linalg.norm computes it, so a row's bits
+    do not depend on N."""
     raw = x[:, 0] + 1j * x[:, 1]
     re, im = raw.real[:, None, :], raw.imag[:, None, :]
     # a (1, k) @ (k, 1) product per row is one BLAS dot, like norm's
@@ -704,43 +777,66 @@ def _random_params(m: int, rng: np.random.Generator) -> SuperpositionParams:
     return SuperpositionParams(row[0], row[1].real, *row[2:])
 
 
-def _family_members(size: int, policy: str, rng: np.random.Generator) -> np.ndarray:
-    """(M, size) members of a degenerate level under params_policy."""
-    if policy == "grid" and size == 2:
-        return _GRID_MEMBERS
-    return _draw_members(size, _MC_MEMBERS, rng)
+def _closed_grid(name: str, d: np.ndarray, energies: np.ndarray, mults, evals: np.ndarray,
+                 policy: str, seed: int, cols: dict[str, list]) -> np.ndarray:
+    """The closed-form members of an unperturbed grid d (P,): (P * M, 8) rows,
+    the same M members at each point, each level paired with its numeric
+    energies from evals (P, 8); fills the n, energy_numeric, energy_closed,
+    multiplicity and tau_closed columns of cols.
 
-
-def _closed_point(name: str, d: float, spectrum, evals: np.ndarray, policy: str,
-                  rng: np.random.Generator | None, cols: dict[str, list]) -> np.ndarray:
-    """The (m, 8) closed-form members of one unperturbed grid point, each
-    level paired with its numeric energies; appends each member's n,
-    energy_numeric, energy_closed, multiplicity and tau_closed to cols."""
-    taken = np.zeros(8, dtype=bool)
-    blocks = []
-    for n, (e_closed, mult) in enumerate(spectrum):
-        free = np.flatnonzero(~taken)
-        order = free[np.argsort(np.abs(evals[free] - e_closed), kind="stable")]
-        chosen = order[:mult]
-        taken[chosen] = True
-        worst = float(np.max(np.abs(evals[chosen] - e_closed)))
-        if worst > GAP_TOL:
-            raise NumericalError(
-                f"{name} level {n} at delta = {d}: closed energy {e_closed} "
-                f"misses the numeric spectrum by {worst:.3e}"
-            )
-        e_num = float(np.mean(evals[chosen]))
-        family = _DEG_FAMILY.get((name, n))
-        coeffs = None if family is None else _family_members(len(family[0]), policy, rng)
-        blocks.append(_level_members(name, n, d, coeffs))
-        taus = _level_tangles(name, n, d, coeffs).tolist()
-        m = len(taus)
-        cols["n"] += [n] * m
-        cols["energy_numeric"] += [e_num] * m
-        cols["energy_closed"] += [e_closed] * m
-        cols["multiplicity"] += [mult] * m
-        cols["tau_closed"] += taus
-    return np.concatenate(blocks)
+    Each level is one array operation over the whole grid. Only the member
+    draws run per point: the mc policy and four-fold levels draw from one
+    generator default_rng([seed, i]) per point i, its levels in listing
+    order.
+    """
+    points = np.arange(len(d))[:, None]
+    taken = np.zeros(evals.shape, dtype=bool)
+    worst = np.empty(energies.shape)
+    e_num = np.empty(energies.shape)
+    for n, mult in enumerate(mults):
+        # a stable sort over the free columns: taken ones sort last
+        gap = np.abs(evals - energies[:, n, None])
+        gap[taken] = np.inf
+        chosen = np.argsort(gap, axis=1, kind="stable")[:, :mult]
+        taken[points, chosen] = True
+        worst[:, n] = gap[points, chosen].max(axis=1)
+        e_num[:, n] = evals[points, chosen].mean(axis=1)
+    missed = np.argwhere(worst > GAP_TOL)
+    if len(missed):
+        i, n = missed[0]
+        raise NumericalError(
+            f"{name} level {n} at delta = {float(d[i])}: closed energy {float(energies[i, n])} "
+            f"misses the numeric spectrum by {worst[i, n]:.3e}"
+        )
+    families = [_DEG_FAMILY.get((name, n)) for n in range(len(mults))]
+    # the grid policy's two-fold levels take the fixed lattice; every other
+    # degenerate level draws _MC_MEMBERS members at each point
+    sizes = {n: len(f[0]) for n, f in enumerate(families)
+             if f is not None and not (policy == "grid" and len(f[0]) == 2)}
+    draws = {}
+    if sizes:
+        widths = [2 * _MC_MEMBERS * k for k in sizes.values()]
+        normals = np.array([np.random.default_rng([seed, i]).normal(size=sum(widths))
+                            for i in range(len(d))])
+        blocks = np.split(normals, np.cumsum(widths)[:-1], axis=1)
+        for (n, k), block in zip(sizes.items(), blocks):
+            draws[n] = _normal_members(block.reshape(-1, 2, k))
+    member_blocks, tau_blocks = [], []
+    for n, family in enumerate(families):
+        coeffs = None if family is None else draws.get(n, _GRID_MEMBERS)
+        # rows for every point, or the lattice's, the same at every point
+        lead = len(d) if family is None or n in draws else 1
+        amps = _level_members(name, n, d, coeffs).reshape(lead, -1, 8)
+        taus = _level_tangles(name, n, d, coeffs).reshape(lead, -1)
+        member_blocks.append(np.broadcast_to(amps, (len(d),) + amps.shape[1:]))
+        tau_blocks.append(np.broadcast_to(taus, (len(d), taus.shape[1])))
+    counts = [b.shape[1] for b in tau_blocks]
+    cols["n"] = np.tile(np.repeat(np.arange(len(mults)), counts), len(d)).tolist()
+    cols["energy_numeric"] = np.repeat(e_num, counts, axis=1).ravel().tolist()
+    cols["energy_closed"] = np.repeat(energies, counts, axis=1).ravel().tolist()
+    cols["multiplicity"] = np.tile(np.repeat(mults, counts), len(d)).tolist()
+    cols["tau_closed"] = np.concatenate(tau_blocks, axis=1).ravel().tolist()
+    return np.concatenate(member_blocks, axis=1).reshape(-1, 8)
 
 
 def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
@@ -757,54 +853,53 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
 
     The grid is diagonalized as one stack, and the rows of all its points
     are one batch for the norm check, invariants, monogamy check and labels.
-    A sweep is byte-identical from run to run, but a row's last bit may
-    depend on the batch size.
+    The closed forms are computed level by level over the whole grid; only
+    the member draws run per point, from default_rng([seed, i]) at point i,
+    so seed must be a non-negative integer. A sweep is byte-identical from
+    run to run, but a row's last bit may depend on the batch size.
     """
     name = model.name if isinstance(model, ChainModel) else str(model)
     _check_model(name)
     if params_policy not in ("grid", "mc"):
         raise ValidationError(f"params_policy must be grid or mc, got {params_policy!r}")
-    if not np.isfinite(perturb):
-        raise ValidationError(f"perturb must be finite, got {perturb}")
-    grid = [float(d) for d in delta_grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if not isinstance(perturb, numbers.Real) or not math.isfinite(perturb):
+        raise ValidationError(f"perturb must be a finite real number, got {perturb!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    try:
+        grid = np.asarray(list(delta_grid), dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"delta grid must be a sequence of couplings, got {delta_grid!r}") from None
+    if grid.ndim != 1:
+        raise ValidationError(f"delta grid must be one-dimensional, got shape {grid.shape}")
+    if (np.diff(grid) <= 0.0).any():
         raise ValidationError("delta grid must be strictly increasing")
-    if not grid:
+    if not len(grid):
         return SweepTable(*[()] * len(SWEEP_FIELDS))
     perturb = float(perturb)
     h = build_hamiltonian(name, grid)
     if perturb != 0.0:
         h = h + perturb * _PAULI_TABLE["ZII"]
     evals, vecs = eigensystem(h)
-    spectra = [closed_form_spectrum(name, d) for d in grid]
+    energies, mults = _energies(name, grid)
+    energies = np.stack(energies, axis=1)
     cols: dict[str, list] = {f: [] for f in SWEEP_FIELDS}
     if perturb != 0.0:
         amps = vecs.swapaxes(1, 2).reshape(-1, 8)
-        counts = [8] * len(grid)
         cols["n"] = list(range(8)) * len(grid)
         cols["energy_numeric"] = evals.reshape(-1).tolist()
         cols["energy_closed"] = cols["tau_closed"] = [None] * (8 * len(grid))
         group = np.abs(evals[:, :, None] - evals[:, None, :]) <= GAP_TOL
         cols["multiplicity"] = group.sum(axis=2).reshape(-1).tolist()
     else:
-        # a point draws members only where _family_members does not take the
-        # fixed grid lattice
-        draws = not all(params_policy == "grid" and len(family[0]) == 2
-                        for (m, _), family in _DEG_FAMILY.items() if m == name)
-        blocks = []
-        for i, (d, spectrum) in enumerate(zip(grid, spectra)):
-            rng = np.random.default_rng([int(seed), i]) if draws else None
-            blocks.append(_closed_point(name, d, spectrum, evals[i], params_policy, rng, cols))
-        amps = np.concatenate(blocks)
-        counts = [len(b) for b in blocks]
+        amps = _closed_grid(name, grid, energies, mults, evals, params_policy, int(seed), cols)
     _check_norms(amps)
     r, c, hdet = invariants(amps)
     cols["tau_numeric"] = _tangles(hdet, r, c).tolist()
     cols["r_a"], cols["r_b"], cols["r_c"] = r.T.tolist()
-    labels = symmetry_label_rows(amps)
-    for f in ("k", "p", "m_z"):
-        cols[f] = labels[f]
-    crossing = [(np.diff(sorted(e for e, _ in spectrum)) <= GAP_TOL).any() for spectrum in spectra]
-    cols["delta"] = np.repeat(grid, counts).tolist()
-    cols["crossing_flag"] = np.repeat(crossing, counts).tolist()
+    cols.update(symmetry_label_rows(amps, names=("k", "p", "m_z")))
+    crossing = (np.diff(np.sort(energies, axis=1), axis=1) <= GAP_TOL).any(axis=1)
+    cols["delta"] = np.repeat(grid, len(amps) // len(grid)).tolist()
+    cols["crossing_flag"] = np.repeat(crossing, len(amps) // len(grid)).tolist()
     return SweepTable(**{f: tuple(col) for f, col in cols.items()})

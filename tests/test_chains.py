@@ -1,6 +1,7 @@
 """Four solvable rings: spectra, eigenstates, tangles, symmetries, sweeps."""
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -45,6 +46,7 @@ from triqent.chains import (
     GAP_TOL,
     _DEG_FAMILY,
     _draw_members,
+    _energies,
     _level_members,
     _level_tangles,
     _random_params,
@@ -147,6 +149,21 @@ def test_stacked_calls_equal_their_one_coupling_calls(name):
         pairs = [eigensystem(h) for h in hs]
         assert np.array_equal(_bits(evals), _bits(np.array([e for e, _ in pairs])))
         assert np.array_equal(_bits(vecs), _bits(np.array([v for _, v in pairs])))
+    # the closed forms a sweep computes over its whole grid
+    energies, mults = _energies(name, grid)
+    one = [closed_form_spectrum(name, float(d)) for d in grid]
+    assert np.array_equal(_bits(np.stack(energies, axis=1)),
+                          _bits(np.array([[e for e, _ in s] for s in one])))
+    assert all(list(mults) == [m for _, m in s] for s in one)
+    for n in range(LEVELS[name]):
+        if (name, n) not in _DEG_FAMILY:
+            amps = _level_members(name, n, grid, None)
+            assert amps.shape == (2000, 8)
+            assert _same_bits(amps, [closed_form_eigenstate(name, n, float(d)).amp for d in grid])
+        if name != "xxx":
+            taus = _level_tangles(name, n, grid, None)
+            assert taus.shape == (2000,)
+            assert _same_bits(taus, [closed_form_tangle(name, n, float(d)) for d in grid])
 
 
 def test_a_bad_matrix_or_coupling_anywhere_in_a_stack_is_refused():
@@ -171,6 +188,39 @@ def test_a_bad_matrix_or_coupling_anywhere_in_a_stack_is_refused():
     with pytest.raises(OutOfDomain):
         sweep("tfim", [-0.2, 0.5])
     assert build_hamiltonian("xxx", [-1.3, 0.4]).shape == (2, 8, 8)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_closed_forms_refuse_couplings_where_they_overflow(name):
+    # d^2 overflows past about 1.3e154 and 3 d past about 6e307; every call
+    # names the coupling instead of returning inf or nan, and warns nowhere
+    huge = -1e308 if name == "xxx" else 1e308
+    big = huge if name in ("xx", "xxx") else 1e200
+    calls = [(big, lambda: closed_form_spectrum(name, big)),
+             (huge, lambda: build_hamiltonian(name, huge)),
+             (huge, lambda: build_hamiltonian(name, [0.5, huge]))]
+    if name in ("tfim", "xzx"):
+        calls += [(big, lambda: sweep(name, [0.5, big])),
+                  (big, lambda: closed_form_eigenstate(name, 0, big)),
+                  (big, lambda: closed_form_tangle(name, 0, big))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad, call in calls:
+            with pytest.raises(OutOfDomain, match=re.escape(f"delta = {bad:g}")):
+                call()
+
+
+def test_closed_tangles_stay_finite_where_g_to_the_fourth_overflows():
+    # g ** 4 overflows a float past g = 2 ** 256; the tangle there is tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, levels in (("tfim", (0, 1)), ("xzx", (0, 1))):
+            for n in levels:
+                s = closed_form_eigenstate(name, n, 1e80)
+                assert 0.0 <= closed_form_tangle(name, n, 1e80) <= 1e-79
+                assert tangle(s) <= 1e-12
+    assert closed_form_tangle("tfim", 0, 1e80) == pytest.approx(2.5e-241, rel=1e-12)
+    assert closed_form_tangle("tfim", 1, 1e80) == pytest.approx(4.0 / 3.0 * 1e-80, rel=1e-12)
 
 
 def test_merge_levels_sorts_and_fuses():
@@ -216,9 +266,9 @@ def test_degenerate_levels_demand_params():
         closed_form_eigenstate("xxx", 0, 1.0)
     with pytest.raises(NeedParams):
         closed_form_eigenstate("tfim", 3, 0.5)
-    with pytest.raises(ValidationError):
-        closed_form_eigenstate("tfim", 0, 0.5,
-                               _random_params(2, np.random.default_rng(1)))
+    for closed in (closed_form_eigenstate, closed_form_tangle):
+        with pytest.raises(ValidationError, match="non-degenerate"):
+            closed("tfim", 0, 0.5, _random_params(2, np.random.default_rng(1)))
 
 
 def test_fused_subspace_members_only_exist_at_the_meeting_point():
@@ -494,6 +544,10 @@ def test_batch_labels_match_the_per_state_labels():
     for field, col in cols.items():
         seen = set(col)
         assert None in seen and len(seen) >= 3, field
+    some = symmetry_label_rows(np.array([s.amp for s in states]), names=("m_z", "k"))
+    assert some == {"m_z": cols["m_z"], "k": cols["k"]} and tuple(some) == ("m_z", "k")
+    with pytest.raises(ValidationError):
+        symmetry_label_rows(np.array([s.amp for s in states]), names=("k", "spin"))
 
 
 def test_generic_states_carry_no_labels():
@@ -583,7 +637,7 @@ def test_sweep_tangles_never_exceed_one(name):
 @pytest.mark.parametrize("policy, perturb", [("grid", 0.0), ("mc", 0.0), ("grid", 1e-3)])
 @pytest.mark.parametrize("points", (1, 9))
 def test_sweep_measures_its_whole_grid_in_one_batch(monkeypatch, policy, perturb, points):
-    calls = {"invariants": 0, "check_monogamy": 0}
+    calls = {"invariants": 0, "check_monogamy": 0, "_level_members": 0, "_level_tangles": 0}
 
     def counted(module, fname):
         fn = getattr(module, fname)
@@ -596,10 +650,15 @@ def test_sweep_measures_its_whole_grid_in_one_batch(monkeypatch, policy, perturb
     # the monogamy check runs inside entanglement._tangles
     counted(chains, "invariants")
     counted(entanglement, "check_monogamy")
+    # the closed forms are built once per level over the whole grid
+    counted(chains, "_level_members")
+    counted(chains, "_level_tangles")
     table = sweep("xxx", np.linspace(-2.0, 2.0, points).tolist(), params_policy=policy,
                   perturb=perturb, seed=1)
     assert len(table) == points * (8 if perturb else 120)
-    assert calls == {"invariants": 1, "check_monogamy": 1}
+    levels = 0 if perturb else LEVELS["xxx"]
+    assert calls == {"invariants": 1, "check_monogamy": 1,
+                     "_level_members": levels, "_level_tangles": levels}
 
 
 def test_sweep_validation():

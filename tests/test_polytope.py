@@ -41,6 +41,7 @@ from triqent import (
     membership,
     normalize_rows,
     reconstruct,
+    sweep,
     tau_surface,
 )
 from triqent.entanglement import invariants
@@ -447,6 +448,8 @@ _BAD_VALUE_CALLS = [
     ("classify_rows/tol", lambda x: classify_rows(_AMPS, tol=x)),
     ("classify_rows/cd_tol", lambda x: classify_rows(_AMPS, cd_tol=x)),
     ("classify_rows/negative", lambda x: classify_rows(_AMPS, cd_tol=min(x, -1.0))),
+    ("sweep/perturb", lambda x: sweep("tfim", [0.5], perturb=x)),
+    ("sweep/grid", lambda x: sweep("xxx", [0.5, x])),
 ]
 
 _BAD_SHAPE_CALLS = [
@@ -471,6 +474,13 @@ _BAD_SHAPE_CALLS = [
     ("normalize_rows/one-axis", lambda: normalize_rows(_AMPS[0])),
     ("normalize_rows/ragged", lambda: normalize_rows([list(_AMPS[0]), [1.0]])),
     ("normalize_rows/text", lambda: normalize_rows([["a"] * 8])),
+    ("sweep/perturb-none", lambda: sweep("tfim", [0.5], perturb=None)),
+    ("sweep/perturb-text", lambda: sweep("tfim", [0.5], perturb="x")),
+    ("sweep/seed-negative", lambda: sweep("xxx", [0.5], params_policy="mc", seed=-1)),
+    ("sweep/seed-fraction", lambda: sweep("xxx", [0.5], params_policy="mc", seed=1.7)),
+    ("sweep/grid-scalar", lambda: sweep("tfim", 0.5)),
+    ("sweep/grid-two-axis", lambda: sweep("tfim", [[0.5]])),
+    ("sweep/grid-text", lambda: sweep("tfim", ["a"])),
 ]
 
 
