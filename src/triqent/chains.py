@@ -621,15 +621,15 @@ _K_PHASES = tuple(np.exp(2j * np.pi * kk / 3.0) for kk in (0, 1, 2))
 
 
 def _eigen_label(image: np.ndarray, amps: np.ndarray, tol: float,
-                 values=(1, -1), labels=None) -> list:
+                 values=(1, -1), labels=None) -> np.ndarray:
     """Per row, the label of the first eigenvalue v in values (by default
-    v itself) with |image - v amp| <= tol, or None; image and amps are
-    (n, 8)."""
+    v itself) with |image - v amp| <= tol, or None, as an object array;
+    image and amps are (n, 8)."""
     out = np.full(len(amps), None, dtype=object)
     # the first matching eigenvalue wins, so assign in reverse order
     for v, lab in reversed(tuple(zip(values, labels or values))):
         out[np.linalg.norm(image - v * amps, axis=1) <= tol] = lab
-    return out.tolist()
+    return out
 
 
 def _site_permuted(amps: np.ndarray, axes) -> np.ndarray:
@@ -648,10 +648,10 @@ _LABELS = {
 
 
 def symmetry_label_rows(amps: np.ndarray, tol: float = 1e-9,
-                        names=tuple(_LABELS)) -> dict[str, list]:
+                        names=tuple(_LABELS)) -> dict[str, np.ndarray]:
     """The symmetry labels of each row of an (n, 8) amplitude array, as one
-    list per named SymmetryLabels field (all five by default), keyed by the
-    field's name."""
+    object array of int or None per named SymmetryLabels field (all five by
+    default), keyed by the field's name."""
     unknown = set(names) - set(_LABELS)
     if unknown:
         raise ValidationError(
@@ -707,31 +707,40 @@ def degenerate_bloch_family(model, n: int, params: SuperpositionParams) -> Bloch
     return BlochTriple(float(ra), float(rb), float(rc))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
-    """The rows of a coupling sweep as columns: one tuple per field, each as
-    long as the table (its len())."""
+    """The rows of a coupling sweep as columns: one read-only 1-D array per
+    field, each as long as the table (its len()). The closed columns are NaN
+    on perturbed rows; k, p and m_z are object arrays of int or None."""
 
-    delta: tuple[float, ...]
-    n: tuple[int, ...]
-    energy_numeric: tuple[float, ...]
-    energy_closed: tuple[float | None, ...]
-    multiplicity: tuple[int, ...]
-    k: tuple[int | None, ...]
-    p: tuple[int | None, ...]
-    m_z: tuple[int | None, ...]
-    tau_numeric: tuple[float, ...]
-    tau_closed: tuple[float | None, ...]
-    r_a: tuple[float, ...]
-    r_b: tuple[float, ...]
-    r_c: tuple[float, ...]
-    crossing_flag: tuple[bool, ...]
+    delta: np.ndarray
+    n: np.ndarray
+    energy_numeric: np.ndarray
+    energy_closed: np.ndarray
+    multiplicity: np.ndarray
+    k: np.ndarray
+    p: np.ndarray
+    m_z: np.ndarray
+    tau_numeric: np.ndarray
+    tau_closed: np.ndarray
+    r_a: np.ndarray
+    r_b: np.ndarray
+    r_c: np.ndarray
+    crossing_flag: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.delta)
 
 
 SWEEP_FIELDS = tuple(f.name for f in fields(SweepTable))
+
+# the dtype of each SweepTable column that is not float64
+_SWEEP_DTYPES = {"n": np.int64, "multiplicity": np.int64, "k": object, "p": object,
+                 "m_z": object, "crossing_flag": bool}
 
 _MC_MEMBERS = 40
 
@@ -778,11 +787,14 @@ def _random_params(m: int, rng: np.random.Generator) -> SuperpositionParams:
 
 
 def _closed_grid(name: str, d: np.ndarray, energies: np.ndarray, mults, evals: np.ndarray,
-                 policy: str, seed: int, cols: dict[str, list]) -> np.ndarray:
+                 policy: str, seed: int, cols: dict[str, np.ndarray]) -> np.ndarray:
     """The closed-form members of an unperturbed grid d (P,): (P * M, 8) rows,
     the same M members at each point, each level paired with its numeric
     energies from evals (P, 8); fills the n, energy_numeric, energy_closed,
-    multiplicity and tau_closed columns of cols.
+    multiplicity and tau_closed columns of cols. A level matches when its
+    numeric energies lie within GAP_TOL of the closed one, scaled by the
+    point's largest |eigenvalue| where that exceeds 1, since eigh rounds
+    relative to the spectrum.
 
     Each level is one array operation over the whole grid. Only the member
     draws run per point: the mc policy and four-fold levels draw from one
@@ -801,7 +813,8 @@ def _closed_grid(name: str, d: np.ndarray, energies: np.ndarray, mults, evals: n
         taken[points, chosen] = True
         worst[:, n] = gap[points, chosen].max(axis=1)
         e_num[:, n] = evals[points, chosen].mean(axis=1)
-    missed = np.argwhere(worst > GAP_TOL)
+    scale = np.maximum(1.0, np.abs(evals).max(axis=1))
+    missed = np.argwhere(worst > GAP_TOL * scale[:, None])
     if len(missed):
         i, n = missed[0]
         raise NumericalError(
@@ -831,11 +844,11 @@ def _closed_grid(name: str, d: np.ndarray, energies: np.ndarray, mults, evals: n
         member_blocks.append(np.broadcast_to(amps, (len(d),) + amps.shape[1:]))
         tau_blocks.append(np.broadcast_to(taus, (len(d), taus.shape[1])))
     counts = [b.shape[1] for b in tau_blocks]
-    cols["n"] = np.tile(np.repeat(np.arange(len(mults)), counts), len(d)).tolist()
-    cols["energy_numeric"] = np.repeat(e_num, counts, axis=1).ravel().tolist()
-    cols["energy_closed"] = np.repeat(energies, counts, axis=1).ravel().tolist()
-    cols["multiplicity"] = np.tile(np.repeat(mults, counts), len(d)).tolist()
-    cols["tau_closed"] = np.concatenate(tau_blocks, axis=1).ravel().tolist()
+    cols["n"] = np.tile(np.repeat(np.arange(len(mults)), counts), len(d))
+    cols["energy_numeric"] = np.repeat(e_num, counts, axis=1).ravel()
+    cols["energy_closed"] = np.repeat(energies, counts, axis=1).ravel()
+    cols["multiplicity"] = np.tile(np.repeat(mults, counts), len(d))
+    cols["tau_closed"] = np.concatenate(tau_blocks, axis=1).ravel()
     return np.concatenate(member_blocks, axis=1).reshape(-1, 8)
 
 
@@ -849,7 +862,7 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
     magnitude-phase lattice for two-fold spaces, "mc" draws seeded random
     members, and four-fold spaces always draw randomly). With perturb set,
     the rows describe the eigenvectors of H + perturb * Z on site 0 instead
-    and the closed-form columns are left empty.
+    and the closed-form columns are NaN.
 
     The grid is diagonalized as one stack, and the rows of all its points
     are one batch for the norm check, invariants, monogamy check and labels.
@@ -867,7 +880,7 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     try:
-        grid = np.asarray(list(delta_grid), dtype=float)
+        grid = np.asarray(delta_grid, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(
             f"delta grid must be a sequence of couplings, got {delta_grid!r}") from None
@@ -876,7 +889,8 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
     if (np.diff(grid) <= 0.0).any():
         raise ValidationError("delta grid must be strictly increasing")
     if not len(grid):
-        return SweepTable(*[()] * len(SWEEP_FIELDS))
+        return SweepTable(**{f: np.empty(0, dtype=_SWEEP_DTYPES.get(f, float))
+                             for f in SWEEP_FIELDS})
     perturb = float(perturb)
     h = build_hamiltonian(name, grid)
     if perturb != 0.0:
@@ -884,22 +898,22 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
     evals, vecs = eigensystem(h)
     energies, mults = _energies(name, grid)
     energies = np.stack(energies, axis=1)
-    cols: dict[str, list] = {f: [] for f in SWEEP_FIELDS}
+    cols: dict[str, np.ndarray] = {}
     if perturb != 0.0:
         amps = vecs.swapaxes(1, 2).reshape(-1, 8)
-        cols["n"] = list(range(8)) * len(grid)
-        cols["energy_numeric"] = evals.reshape(-1).tolist()
-        cols["energy_closed"] = cols["tau_closed"] = [None] * (8 * len(grid))
+        cols["n"] = np.tile(_EIGHT, len(grid))
+        cols["energy_numeric"] = evals.reshape(-1)
+        cols["energy_closed"] = cols["tau_closed"] = np.full(len(amps), np.nan)
         group = np.abs(evals[:, :, None] - evals[:, None, :]) <= GAP_TOL
-        cols["multiplicity"] = group.sum(axis=2).reshape(-1).tolist()
+        cols["multiplicity"] = group.sum(axis=2).reshape(-1)
     else:
         amps = _closed_grid(name, grid, energies, mults, evals, params_policy, int(seed), cols)
     _check_norms(amps)
     r, c, hdet = invariants(amps)
-    cols["tau_numeric"] = _tangles(hdet, r, c).tolist()
-    cols["r_a"], cols["r_b"], cols["r_c"] = r.T.tolist()
+    cols["tau_numeric"] = _tangles(hdet, r, c)
+    cols["r_a"], cols["r_b"], cols["r_c"] = r.T
     cols.update(symmetry_label_rows(amps, names=("k", "p", "m_z")))
     crossing = (np.diff(np.sort(energies, axis=1), axis=1) <= GAP_TOL).any(axis=1)
-    cols["delta"] = np.repeat(grid, len(amps) // len(grid)).tolist()
-    cols["crossing_flag"] = np.repeat(crossing, len(amps) // len(grid)).tolist()
-    return SweepTable(**{f: tuple(col) for f, col in cols.items()})
+    cols["delta"] = np.repeat(grid, len(amps) // len(grid))
+    cols["crossing_flag"] = np.repeat(crossing, len(amps) // len(grid))
+    return SweepTable(**cols)

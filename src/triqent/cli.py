@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -40,10 +41,10 @@ def _kind(t: type) -> str:
 _FORMAT = {"bool": lambda v: "1" if v else "0", "int": lambda v: str(int(v)), "str": str}
 
 
-def _float_cells(x: np.ndarray) -> list[str]:
-    """The cells of a float column: each distinct value formatted once, since
-    a sweep repeats most of its values (delta on every row of a grid point,
-    the energies on every member of a level)."""
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """The cells of float values, as an object array: each distinct value
+    formatted once, since a sweep repeats most of its values (delta on every
+    row of a grid point, the energies on every member of a level)."""
     x = np.ascontiguousarray(x, dtype=float)
     # distinct by their bits, which tell -0.0 from 0.0
     _, first, back = np.unique(x.view(np.int64), return_index=True, return_inverse=True)
@@ -53,24 +54,31 @@ def _float_cells(x: np.ndarray) -> list[str]:
     text = "%.17g\n" * len(distinct) % tuple(distinct.tolist())
     cells = np.array(text.split("\n")[:-1], dtype=object)
     cells[~np.isfinite(distinct)] = ""
-    return cells[back].tolist()
+    return cells[back]
+
+
+_BOOL_CELLS = np.array(("0", "1"), dtype=object)
 
 
 def _column(values) -> list[str]:
     """The CSV/text cells of one column, formatted by the value types it
     holds: floats as %.17g, bools as 1/0, ints and anything else through
-    str; None and non-finite floats give an empty cell. A float array is
-    formatted as a whole, any other array as its list of values."""
+    str; None and non-finite floats give an empty cell. An int or bool
+    array is formatted as a whole, any other array (a float array aside,
+    which _columns formats) as its list of values."""
     if isinstance(values, np.ndarray):
-        if values.dtype.kind == "f":
-            return _float_cells(values)
+        if values.dtype.kind == "b":
+            return _BOOL_CELLS[values.astype(np.intp)].tolist()
+        if values.dtype.kind in "iu":
+            distinct, back = np.unique(values, return_inverse=True)
+            return np.array(list(map(str, distinct.tolist())), dtype=object)[back].tolist()
         values = values.tolist()
     kinds = {_kind(t) for t in set(map(type, values)) - {type(None)}}
     if len(kinds) > 1:
         return [c for v in values for c in _column((v,))]
     kind = kinds.pop() if kinds else "str"
     if kind == "float":
-        return _float_cells(np.array(values, dtype=float))  # None becomes NaN
+        return _float_cells(np.array(values, dtype=float)).tolist()  # None becomes NaN
     fmt = _FORMAT[kind]
     cells = {v: "" if v is None else fmt(v) for v in dict.fromkeys(values)}
     return list(map(cells.__getitem__, values))
@@ -89,8 +97,18 @@ def _jval(x):
 
 
 def _columns(header: tuple[str, ...], columns) -> list[list[str]]:
-    """Per column, its name and then its formatted cells."""
-    return [[name, *_column(col)] for name, col in zip(header, columns)]
+    """Per column, its name and then its formatted cells. The float arrays
+    of a table are formatted together in one _float_cells call, so a value
+    that several of them hold is formatted once."""
+    floats = [i for i, col in enumerate(columns)
+              if isinstance(col, np.ndarray) and col.dtype.kind == "f"]
+    cells = {}
+    if floats:
+        joined = _float_cells(np.concatenate([columns[i] for i in floats]))
+        ends = np.cumsum([len(columns[i]) for i in floats])[:-1]
+        cells = {i: part.tolist() for i, part in zip(floats, np.split(joined, ends))}
+    return [[name, *(cells[i] if i in cells else _column(col))]
+            for i, (name, col) in enumerate(zip(header, columns))]
 
 
 def _plain_csv(cols: list[list[str]]) -> bool:
@@ -104,7 +122,8 @@ def _table(header: tuple[str, ...], columns, fmt: str) -> str:
     """A table given as one sequence of values per header name: a tuple,
     a list or a numpy array."""
     if fmt == "json":
-        jcols = [list(map(_jval, col)) for col in columns]
+        jcols = [list(map(_jval, col.tolist() if isinstance(col, np.ndarray) else col))
+                 for col in columns]
         payload = [dict(zip(header, row)) for row in zip(*jcols)]
         return json.dumps(payload, indent=2) + "\n"
     cols = _columns(header, columns)
@@ -268,7 +287,7 @@ def _cmd_sweep(args) -> tuple[str, int]:
     if args.points < 1:
         raise ValidationError(f"points must be >= 1, got {args.points}")
     _require_finite(delta_min=args.delta_min, delta_max=args.delta_max)
-    grid = [float(d) for d in np.linspace(args.delta_min, args.delta_max, args.points)]
+    grid = np.linspace(args.delta_min, args.delta_max, args.points)
     table = chains.sweep(args.model, grid, params_policy=args.params_policy,
                          perturb=args.perturb, seed=args.seed)
     columns = [getattr(table, f) for f in chains.SWEEP_FIELDS]
@@ -312,6 +331,12 @@ def _add_tols(sp) -> None:
     sp.add_argument("--zero-tol", type=float, default=None,
                     help="threshold below which a canonical coefficient "
                          "counts as zero")
+
+
+# argparse reads an argument that starts with "-" as an option unless it
+# looks like a negative number, and its pattern has no exponent: without this
+# one, "--delta-min -7.5e-05" or a state amplitude "-1e-05" is refused
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,6 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run only this check (repeatable)")
     _add_common(sp, "text")
 
+    for parser in (p, *sub.choices.values()):
+        parser._negative_number_matcher = _NEGATIVE_NUMBER
     return p
 
 

@@ -751,15 +751,16 @@ def _check_sweep_determinism(rng: np.random.Generator, points: int = 5) -> str:
     grid = np.round(np.linspace(0.0, 2.0, points), 10).tolist()
     first = chains.sweep("tfim", grid, params_policy="mc", seed=sub)
     again = chains.sweep("tfim", grid, params_policy="mc", seed=sub)
-    assert first == again, "same-seed sweeps differ"
     for f in chains.SWEEP_FIELDS:
+        assert np.array_equal(getattr(first, f), getattr(again, f)), \
+            f"same-seed sweeps differ in column {f}"
         assert len(getattr(first, f)) == len(first), f"column {f} has the wrong length"
     for d, flag in zip(first.delta, first.crossing_flag):
         expect_flag = any(abs(d - dc) <= chains.GAP_TOL for dc in chains.CROSSINGS["tfim"])
         assert flag == expect_flag, f"crossing flag wrong at delta = {d}"
     assert sorted(set(first.delta)) == grid
     pert = chains.sweep("tfim", [0.3, 0.8], perturb=1e-3, seed=sub)
-    assert set(pert.energy_closed) == set(pert.tau_closed) == {None}, \
+    assert np.isnan(pert.energy_closed).all() and np.isnan(pert.tau_closed).all(), \
         "perturbed rows must not carry closed-form columns"
     assert len(pert) == 16, "perturbed sweep should emit 8 rows per point"
     _expect(ValidationError, chains.sweep, "tfim", [0.5, 0.5])

@@ -6,6 +6,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -167,6 +170,16 @@ def test_bad_seeds_tolerances_and_windows_are_usage_errors(capsys, monkeypatch,
     assert err.startswith("error:")
 
 
+def test_negative_numbers_with_an_exponent_are_values(capsys):
+    args = ("sweep", "--model", "xxx", "--delta-max", "1.5", "--points", "3")
+    code, out, err = run(capsys, *args, "--delta-min", "-7.5e-05")
+    assert code == 0 and err == ""
+    assert run(capsys, *args, "--delta-min=-7.5e-05") == (0, out, "")
+    amps = ["0"] * 16
+    amps[0], amps[14] = "1", "-1e-01"
+    assert run(capsys, "classify", "--state", *amps) == (0, "class GHZ, type 2b\n", "")
+
+
 def test_argparse_errors_return_their_own_code(capsys):
     assert main(["no-such-verb"]) == 2
     capsys.readouterr()
@@ -257,6 +270,27 @@ def test_sweep_csv_columns_and_crossing_flags(capsys):
     assert rows_per_point == 84.0
 
 
+@pytest.mark.parametrize("perturb", (0.0, 1e-3))
+def test_a_sweep_table_is_formatted_in_one_float_pass(monkeypatch, perturb):
+    table = chains.sweep("xxx", [-0.5, 0.25, 1.0], params_policy="mc", perturb=perturb, seed=4)
+    columns = [getattr(table, f) for f in chains.SWEEP_FIELDS]
+    for f, col in zip(chains.SWEEP_FIELDS, columns):
+        assert isinstance(col, np.ndarray) and col.ndim == 1, f
+        assert not col.flags.writeable, f
+    calls = []
+    float_cells = cli._float_cells
+
+    def counted(x):
+        calls.append(len(x))
+        return float_cells(x)
+    monkeypatch.setattr(cli, "_float_cells", counted)
+    for fmt in ("csv", "text"):
+        calls.clear()
+        _table(chains.SWEEP_FIELDS, columns, fmt)
+        # delta, both energies, both tangles and the three Bloch norms
+        assert calls == [8 * len(table)], fmt
+
+
 def test_sweep_is_deterministic(capsys):
     args = ("sweep", "--model", "xxx", "--delta-min", "-1", "--delta-max", "1",
             "--points", "7", "--params-policy", "mc", "--seed", "3")
@@ -341,6 +375,25 @@ GOLDEN = {
     # 2.2e-16
     "sweep --model xxx --delta-min -2 --delta-max 2 --points 60 --params-policy mc --seed 5":
         "0d3e2c3e7766975832077ae663b4f4633e4fbf53f6a5a8193586ab1bb459dc1f",
+    # the JSON and text forms of a perturbed sweep (null and empty closed
+    # cells), an mc sweep and a grid through the tfim crossings, taken before
+    # the sweep columns became arrays
+    "sweep --model tfim --delta-min 0 --delta-max 2.5 --points 26 --perturb 1e-3 --seed 0 "
+    "--format json":
+        "449a2a4b59ee2ef14a89963dafcc553763cd1b93ec1c4b0be54f56fad01b1dce",
+    "sweep --model tfim --delta-min 0 --delta-max 2.5 --points 26 --perturb 1e-3 --seed 0 "
+    "--format text":
+        "99a4d48097d655e22e6876b083711474c8ee56dff83dfbc0e9dfb8b55f198663",
+    "sweep --model xxx --delta-min -2 --delta-max 2 --points 26 --params-policy mc --seed 5 "
+    "--format json":
+        "5726dbeb20401bfa014f4661cfbaabfa374265a5bc0283d81a3388987ec0cd37",
+    "sweep --model xxx --delta-min -2 --delta-max 2 --points 26 --params-policy mc --seed 5 "
+    "--format text":
+        "93441170f2ce8655221655b554aab4a9063a41bfea765e670d6e5df6744b425f",
+    "sweep --model tfim --delta-min 0 --delta-max 2.5 --points 26 --seed 0 --format json":
+        "69b76448b94e15ee8c37749a5bb879081653a85cc2f028fc2c060b9d84f4c052",
+    "sweep --model tfim --delta-min 0 --delta-max 2.5 --points 26 --seed 0 --format text":
+        "859188856eaf431926ececf4c19c85e9a27ba18f9070b69ad1f055660540df16",
     "verify --check sweep-determinism --check chain-spectra --format csv":
         "67be41ba7bf3e4de5c075b85b24ccb231f0e858aee72a9744f17d8e4091f7b39",
     # the whole battery, taken before normalize and the local unitaries were
@@ -499,6 +552,16 @@ def test_tables_equal_a_naive_per_cell_writer(table):
     text = "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
                    for row in zip(*cols))
     assert _table(header, columns, "text") == text
+
+
+def test_the_package_runs_as_a_module():
+    # from a checkout, with the package's parent directory on the path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "triqent", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: triqent")
 
 
 def test_the_cached_parser_reads_like_a_fresh_one(capsys):
