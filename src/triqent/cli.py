@@ -46,9 +46,16 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     formatted once, since a sweep repeats most of its values (delta on every
     row of a grid point, the energies on every member of a level)."""
     x = np.ascontiguousarray(x, dtype=float)
-    # distinct by their bits, which tell -0.0 from 0.0
-    _, first, back = np.unique(x.view(np.int64), return_index=True, return_inverse=True)
-    distinct = x[first]
+    # distinct by their bits, which tell -0.0 from 0.0; any member of a run
+    # of equal bits stands for it, so the sort need not be stable
+    order = x.view(np.int64).argsort()
+    bits = x.view(np.int64)[order]
+    start = np.empty(len(x), dtype=bool)
+    start[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=start[1:])
+    distinct = x[order[start]]
+    back = np.empty(len(x), dtype=np.intp)
+    back[order] = np.cumsum(start) - 1
     # one template formats every distinct value; an object array maps the
     # cells back to the rows faster than a Python loop does
     text = "%.17g\n" * len(distinct) % tuple(distinct.tolist())

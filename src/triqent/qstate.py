@@ -211,26 +211,30 @@ def normalize(raw) -> PureState3:
     return PureState3(normalize_rows(_amps8(raw)[None])[0])
 
 
-# einsum spec applying row n's 2x2 matrix to one qubit of (n, 2, 2, 2) rows;
-# unlike a matmul, it gives each row the same bits in any batch
-_APPLY_SPEC = ("nij,njbc->nibc", "nij,najc->naic", "nij,nabj->nabi")
+# einsum spec applying row n's 2x2 matrix to one qubit of (2, 2, 2, n)
+# tensors, the row axis innermost in memory; unlike a matmul, it gives each
+# row the same bits in any batch
+_APPLY_SPEC = ("nij,jbcn->ibcn", "nij,ajcn->aicn", "nij,abjn->abin")
 
 
 def _apply_rows(t3: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
-    """Row n of the (n, 2, 2, 2) tensors with the 2x2 matrix u[n] applied
+    """Row n of the (2, 2, 2, n) tensors with the 2x2 matrix u[n] applied
     to the qubit on the given axis (0, 1, 2 for A, B, C)."""
     return np.einsum(_APPLY_SPEC[axis], u, t3)
 
 
 def _apply_local_rows(amps: np.ndarray, u: np.ndarray, target: str) -> np.ndarray:
     """Row i of the (n, 8) amplitudes with the 2x2 unitary u[i] applied to
-    the target qubit, normalized; NonUnitary unless every u[i]+ u[i] is the
-    identity within 1e-10."""
-    dev = np.abs(np.conj(u).transpose(0, 2, 1) @ u - np.eye(2)).max(axis=(1, 2))
-    if (dev > 1e-10).any():
-        raise NonUnitary(f"u+u deviates from identity by {dev.max():.3e}")
-    t = _apply_rows(amps.reshape(-1, 2, 2, 2), u, _AXIS[target])
-    return normalize_rows(t.reshape(-1, 8))
+    the target qubit, normalized; NonUnitary unless every u[i] is finite and
+    u[i]+ u[i] is the identity within 1e-10."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        dev = np.abs(np.conj(u).transpose(0, 2, 1) @ u - np.eye(2)).max(axis=(1, 2))
+    bad = ~(dev <= 1e-10)  # a non-finite entry makes dev NaN or inf, which fails too
+    if bad.any():
+        i = int(bad.argmax())
+        raise NonUnitary(f"u[{i}]+u[{i}] deviates from identity by {dev[i]:.3e}")
+    t = _apply_rows(amps.T.reshape(2, 2, 2, -1), u, _AXIS[target])
+    return normalize_rows(t.reshape(8, -1).T)
 
 
 def apply_local_unitary(s: PureState3, lu: LocalUnitary) -> PureState3:
@@ -287,22 +291,26 @@ def _haar_u2(g: np.ndarray) -> np.ndarray:
     si = x0 * di + y0 * dr - (x1 * ci + y1 * cr)
     mag = np.hypot(sr, si)
     pr, pi = sr / mag, si / mag
-    # (real, imaginary) parts of u[..., i, j] at out[..., i, j, :]
-    out = np.empty(g.shape + (2,))
-    out[..., 0, 0, 0], out[..., 0, 0, 1] = x0, y0
-    out[..., 1, 0, 0], out[..., 1, 0, 1] = x1, y1
-    out[..., 0, 1, 0], out[..., 0, 1, 1] = -(x1 * pr + y1 * pi), y1 * pr - x1 * pi
-    out[..., 1, 1, 0], out[..., 1, 1, 1] = x0 * pr + y0 * pi, x0 * pi - y0 * pr
-    return out.view(complex)[..., 0]
+    # u[..., i, j] at out[i, j, ...]: each entry is one contiguous block
+    # over the batch, so the returned view has the batch axes innermost
+    out = np.empty((2, 2) + g.shape[:-2], dtype=complex)
+    out.real[0, 0], out.imag[0, 0] = x0, y0
+    out.real[1, 0], out.imag[1, 0] = x1, y1
+    out.real[0, 1], out.imag[0, 1] = -(x1 * pr + y1 * pi), y1 * pr - x1 * pi
+    out.real[1, 1], out.imag[1, 1] = x0 * pr + y0 * pi, x0 * pi - y0 * pr
+    return out.transpose(*range(2, out.ndim), 0, 1)
 
 
 def _haar_u2_batch(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n Haar-random unitaries per qubit, shape (3, n, 2, 2) in QUBITS order.
+    """n Haar-random unitaries per qubit, shape (3, n, 2, 2) in QUBITS order,
+    the row axis innermost in memory.
 
     One normal draw holds, qubit after qubit, n real and then n imaginary
     2x2 parts: the same numbers as three successive draws of n matrices.
     """
     x = rng.normal(size=(3, 2, n, 2, 2))
+    # one copy puts the rows innermost; the arithmetic after keeps that order
+    x = x.transpose(0, 1, 3, 4, 2).copy().transpose(0, 1, 4, 2, 3)
     return _haar_u2(x[:, 0] + 1j * x[:, 1])
 
 
@@ -401,7 +409,8 @@ def _sample_type_batch(t: str, n: int, seed) -> np.ndarray:
     # canonical_decompose keeps the larger l0. So a 4c canonical form has
     # l0^2 >= 1/2, and 4c is drawn there only.
     lead = 0.5 if t == "4c" else 0.0
-    amp = np.zeros((n, 8), dtype=complex)
+    # rows innermost, as the applies want them
+    amp = np.zeros((8, n), dtype=complex)
     for si, support in enumerate(supports):
         mask = pick == si
         k = int(mask.sum())
@@ -410,8 +419,8 @@ def _sample_type_batch(t: str, n: int, seed) -> np.ndarray:
         lam = _draw_lambdas(support, k, rng, lead).astype(complex)
         if 1 in support:
             lam[:, 1] *= np.exp(1j * rng.uniform(0.0, np.pi, size=k))
-        amp[np.ix_(mask, _CD_AMP_IDX)] = lam
-    t3 = amp.reshape(n, 2, 2, 2)
+        amp[np.array(_CD_AMP_IDX)[:, None], mask.nonzero()[0]] = lam.T
+    t3 = amp.reshape(2, 2, 2, n)
     for axis, u in enumerate(_haar_u2_batch(n, rng)):
         t3 = _apply_rows(t3, u, axis)
-    return t3.reshape(n, 8)
+    return np.ascontiguousarray(t3.reshape(8, n).T)

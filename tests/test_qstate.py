@@ -211,6 +211,7 @@ def test_stacked_unitaries_are_three_sequential_draws(n):
         want = np.stack([_haar_u2(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
                          for _ in QUBITS])
         assert got.shape == (3, n, 2, 2)
+        assert got.strides[1] == got.itemsize  # the row axis innermost in memory
         assert np.array_equal(_bits(got), _bits(want))
         dev = np.abs(np.conj(got).swapaxes(-1, -2) @ got - np.eye(2)).max()
         assert dev <= 1e-12
@@ -267,12 +268,30 @@ def test_batch_apply_is_per_row_apply():
         _apply_local_rows(amps, us, "C")
 
 
+def test_batch_apply_rows_keep_their_bits_in_batches_of_1_and_7():
+    rng = np.random.default_rng(23)
+    us = _haar_u2_batch(1500, rng)
+    amps = _haar_amps(1500, rng)
+    for q, u in zip(QUBITS, us):
+        full = _bits(_apply_local_rows(amps, u, q))
+        for size in (1, 7):
+            for lo in (0, 700, 1500 - size):
+                part = _apply_local_rows(amps[lo:lo + size], u[lo:lo + size], q)
+                assert np.array_equal(_bits(part), full[lo:lo + size])
+
+
 def test_local_unitary_validation():
     with pytest.raises(ValidationError):
         LocalUnitary(np.eye(2), "D")
     bad = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValidationError):
         apply_local_unitary(ghz(), LocalUnitary(bad, "A"))
+    # non-finite entries fail the unitarity check itself, without a numpy warning
+    one_nan, with_inf = np.eye(2, dtype=complex), np.eye(2, dtype=complex)
+    one_nan[1, 0], with_inf[0, 0] = np.nan, np.inf
+    for u in (np.full((2, 2), np.nan), one_nan, with_inf):
+        with pytest.raises(NonUnitary):
+            apply_local_unitary(ghz(), LocalUnitary(u, "A"))
 
 
 def test_slice_reassemble_round_trip_bit_exact():
@@ -343,6 +362,20 @@ def test_sampler_rows_match_their_golden_digest():
         for n in (1, 3, 250):
             h.update(_sample_type_batch(t, n, 40 + i).tobytes())
     assert h.hexdigest() == SAMPLER_DIGEST
+
+
+# sha256 of _sample_type_batch(t, n, 70 + i) for the i-th of TYPE_IDS and n
+# in (1500, 4097): the verify battery's batch size and an odd tail, taken
+# before the applies ran with the row axis innermost
+SAMPLER_LARGE_DIGEST = "ebd2a11d35099bd8557412e219bf630ef0d449f9170dee08d1e907ad2c98fb13"
+
+
+def test_large_sampler_batches_match_their_golden_digest():
+    h = hashlib.sha256()
+    for i, t in enumerate(TYPE_IDS):
+        for n in (1500, 4097):
+            h.update(_sample_type_batch(t, n, 70 + i).tobytes())
+    assert h.hexdigest() == SAMPLER_LARGE_DIGEST
 
 
 def test_sample_type_seed_determinism():
