@@ -7,7 +7,6 @@ each level's tangle is under a symmetry-breaking perturbation.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -188,44 +187,33 @@ def eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (evals, vecs) if h.ndim == 3 else (evals[0], vecs[0])
 
 
-# The closed forms below take one coupling d, a Python float, or a grid d
-# (P,), and give floats or arrays like d: one set of formulas for both. A
-# float's arithmetic stays in Python floats, which overflow to inf without a
-# warning, and math.sqrt and np.sqrt are both correctly rounded, so a
-# coupling's bits do not depend on the path.
-
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
-def _quiet(d):
-    """Silence numpy's overflow warnings, unless d is a Python float."""
-    return contextlib.nullcontext() if type(d) is float else np.errstate(over="ignore")
-
+# The closed forms below take one coupling d or a grid d (P,), as a float, an
+# int or an array, and give numpy values shaped like d: one coupling is the
+# 0-d case of the grid formulas, so a coupling's bits do not depend on the
+# grid it is in. Overflow to inf (and inf - inf) is silent and is refused by
+# _refuse_overflow, which names the first coupling at fault.
 
 def _ab(d):
-    """(sqrt(1 + d + d^2), sqrt(1 - d + d^2)); inf where d^2 overflows."""
-    with _quiet(d):
-        return _sqrt(1.0 + d + d * d), _sqrt(1.0 - d + d * d)
+    """d as floats, sqrt(1 + d + d^2) and sqrt(1 - d + d^2); inf where d^2
+    overflows."""
+    d = np.asarray(d, dtype=float)
+    return d, np.sqrt(1.0 + d + d * d), np.sqrt(1.0 - d + d * d)
 
 
 def _refuse_overflow(name: str, d, values) -> None:
     """Refuse the first coupling of d at which one of values, closed energies
     or normalizers, overflowed."""
-    if not isinstance(d, np.ndarray):
-        if not all(map(math.isfinite, values)):
-            raise OutOfDomain(f"{name} closed form overflows at delta = {d}")
-        return
     finite = np.isfinite(np.stack(values)).all(axis=0)
     if not finite.all():
-        raise OutOfDomain(f"{name} closed form overflows at delta = {d[~finite][0]}")
+        raise OutOfDomain(
+            f"{name} closed form overflows at delta = {np.ravel(d)[~np.ravel(finite)][0]}")
 
 
 def _energies(name: str, d) -> tuple[tuple, tuple[int, ...]]:
     """The closed energies of every level in listing order, and the generic
     multiplicities."""
-    a, b = _ab(d)
-    with _quiet(d):
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, a, b = _ab(d)
         if name == "tfim":
             energies = (-d - 2 * b - 1, d - 2 * a - 1, -d + 2 * b - 1, 1 - d, d + 1, d + 2 * a - 1)
             mults = (1, 1, 1, 2, 2, 1)
@@ -236,7 +224,8 @@ def _energies(name: str, d) -> tuple[tuple, tuple[int, ...]]:
             energies = (3 * d, 4 - d, -d - 2)
             mults = (2, 2, 4)
         else:
-            energies = (d - 2 * a - 1, -d - 2 * a + 1, -1 + d, 1 - d, d + 2 * a - 1, -d + 2 * a + 1)
+            energies = (d - 2 * a - 1, -d - 2 * a + 1, -1 + d, 1 - d, d + 2 * a - 1,
+                        -d + 2 * a + 1)
             mults = (1, 1, 2, 2, 1, 1)
     _refuse_overflow(name, d, energies)
     return energies, mults
@@ -248,8 +237,9 @@ def closed_form_spectrum(model, delta: float | None = None) -> list[tuple[float,
     The listing order is the stable label n used by the eigenstate and tangle
     formulas; it is ascending in energy for small coupling but levels may
     pass each other as delta grows. Multiplicities are the generic ones,
-    valid away from crossings; use merge_levels to fold coincidences. One
-    coupling of the whole-grid spectrum a sweep computes.
+    valid away from crossings; use merge_levels to fold coincidences. The
+    energies are the 0-d case of the formulas a sweep evaluates over its
+    whole grid, so they equal that grid's bit for bit.
     """
     cm = _as_model(model, delta)
     energies, mults = _energies(cm.name, float(cm.delta))
@@ -362,17 +352,17 @@ def _params_row(params: SuperpositionParams | None) -> np.ndarray | None:
 
 def _tfim_fg(d) -> dict:
     """(f, g) of each non-degenerate tfim level."""
-    a, b = _ab(d)
-    with _quiet(d):
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, a, b = _ab(d)
         f0 = -1.0 + 2.0 * d + 2.0 * b
         f1 = 2.0 * d + 2.0 * a + 1.0
         f2 = -2.0 * d + 1.0 + 2.0 * b
         f5 = -2.0 * d - 1.0 + 2.0 * a
         fg = {
-            0: (f0, _sqrt(f0 * f0 + 3.0)),
-            1: (f1, _SQRT3 * _sqrt(f1 * f1 + 3.0)),
-            2: (f2, _sqrt(f2 * f2 + 3.0)),
-            5: (f5, _SQRT3 * _sqrt(f5 * f5 + 3.0)),
+            0: (f0, np.sqrt(f0 * f0 + 3.0)),
+            1: (f1, _SQRT3 * np.sqrt(f1 * f1 + 3.0)),
+            2: (f2, np.sqrt(f2 * f2 + 3.0)),
+            5: (f5, _SQRT3 * np.sqrt(f5 * f5 + 3.0)),
         }
     _refuse_overflow("tfim", d, [g for _, g in fg.values()])
     return fg
@@ -380,15 +370,15 @@ def _tfim_fg(d) -> dict:
 
 def _xzx_fg(d) -> dict:
     """(f, g) of each non-degenerate xzx level."""
-    a, _ = _ab(d)
-    with _quiet(d):
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, a, _ = _ab(d)
         f0 = 2.0 * d + 2.0 * a + 1.0
         f4 = -2.0 * d + 2.0 * a - 1.0
         fg = {
-            0: (f0, _SQRT3 * _sqrt(f0 * f0 + 3.0)),
-            1: (f0, _SQRT3 * _sqrt(f0 * f0 + 3.0)),
-            4: (f4, _SQRT3 * _sqrt(f4 * f4 + 3.0)),
-            5: (f4, _sqrt(f4 * f4 + 3.0)),
+            0: (f0, _SQRT3 * np.sqrt(f0 * f0 + 3.0)),
+            1: (f0, _SQRT3 * np.sqrt(f0 * f0 + 3.0)),
+            4: (f4, _SQRT3 * np.sqrt(f4 * f4 + 3.0)),
+            5: (f4, np.sqrt(f4 * f4 + 3.0)),
         }
     _refuse_overflow("xzx", d, [g for _, g in fg.values()])
     return fg
@@ -399,9 +389,7 @@ def _nondeg_vector(name: str, n: int, d) -> np.ndarray:
     coupling."""
     if name == "xx":
         return np.tile((W_KET, X3W_KET, _ket(0b000), _ket(0b111))[n], (np.size(d), 1))
-    f, g = (_tfim_fg if name == "tfim" else _xzx_fg)(d)[n]
-    if isinstance(d, np.ndarray):
-        f, g = f[:, None], g[:, None]
+    f, g = (np.reshape(x, (-1, 1)) for x in (_tfim_fg if name == "tfim" else _xzx_fg)(d)[n])
     if name == "tfim":
         if n == 0:
             num = f * _ket(0b000) + _SQRT3 * X3W_KET
@@ -419,19 +407,14 @@ def _nondeg_vector(name: str, n: int, d) -> np.ndarray:
         num = 3.0 * _ket(0b111) + _SQRT3 * f * W_KET
     else:
         num = -f * _ket(0b000) + _SQRT3 * X3W_KET
-    return (num / g).reshape(-1, 8)
+    return num / g
 
 
 def _check_level(name: str, n) -> int:
     count = LEVEL_COUNT[name]
-    n = int(n)
-    if not 0 <= n < count:
-        raise ValidationError(f"{name} has levels 0..{count - 1}, got {n}")
-    return n
-
-
-def _at_fusion(name: str, n: int, d: float) -> bool:
-    return name == "tfim" and n in (2, 3) and abs(d - 1.0) <= GAP_TOL
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 0 <= n < count:
+        raise ValidationError(f"{name} has levels 0..{count - 1}, got {n!r}")
+    return int(n)
 
 
 def _fused_member(name: str, n: int, d: float, k: int | None) -> bool:
@@ -475,10 +458,11 @@ def _level_members(name: str, n: int, d, coeffs: np.ndarray | None) -> np.ndarra
     the (M, k) member coefficients (alpha, beta, gamma, delta)[:k].
 
     A non-degenerate level takes coeffs=None and gives its eigenvector at
-    each coupling of d, one coupling or a grid (P,); a degenerate one needs
+    each coupling of d, one row per coupling: a lone coupling is the 0-d case
+    of the same array formulas as a grid (P,). A degenerate level needs
     coeffs, whose members do not depend on d, three-component rows picking
-    members of the fused transverse-field subspace. Each member is summed
-    coefficient by basis ket in the family's order.
+    members of the fused transverse-field subspace (d one coupling then).
+    Each member is summed coefficient by basis ket in the family's order.
     """
     k = None if coeffs is None else coeffs.shape[1]
     if _fused_member(name, n, d, k):
@@ -521,10 +505,9 @@ def _fixed_tangle(name: str, n: int, d, coeffs: np.ndarray | None) -> np.ndarray
         f, g = (_tfim_fg if name == "tfim" else _xzx_fg)(d)[n]
         # Python floats keep libm's pow, whose bits numpy's vectorised power
         # does not match; where g ** 4 would overflow the tangle is below 1e-230
-        f, g = (f.tolist(), g.tolist()) if isinstance(d, np.ndarray) else ([f], [g])
         return np.array([c * fi ** p / gi ** 4 if gi < 2.0 ** 255
                          else c * (fi / gi) ** p * (1.0 / gi) ** (4 - p)
-                         for fi, gi in zip(f, g)])
+                         for fi, gi in zip(np.ravel(f).tolist(), np.ravel(g).tolist())])
     return np.zeros(np.size(d) if coeffs is None else len(coeffs))
 
 
@@ -533,8 +516,10 @@ def _level_tangles(name: str, n: int, d, coeffs: np.ndarray | None) -> np.ndarra
     same d and coeffs (one row per coupling for coeffs=None), clipped at 1
     like _tangles.
 
-    The arithmetic is that of the scalar formulas: complex products without
-    a fused multiply-add, libm's hypot.
+    One coupling and a grid share one set of array formulas. Member tangles
+    form complex products without a fused multiply-add and magnitudes with
+    libm's hypot, as Python complex scalars do, so a member's tangle does not
+    depend on the batch it is in.
     """
     k = None if coeffs is None else coeffs.shape[1]
     if _fused_member(name, n, d, k):
@@ -578,8 +563,8 @@ def closed_form_eigenstate(model, n: int, delta: float | None = None,
     with SuperpositionParams; non-degenerate levels take none. On the
     transverse-field chain at delta = 1 levels 2 and 3 fuse into a
     three-dimensional subspace whose members are reached with
-    three-component params (gamma on the even basis ket). One row of
-    _level_members.
+    three-component params (gamma on the even basis ket). The one-coupling,
+    one-member case of _level_members.
     """
     cm = _as_model(model, delta)
     n = _check_level(cm.name, n)
@@ -591,8 +576,8 @@ def closed_form_tangle(model, n: int, delta: float | None = None,
     """Exact tangle of level n, or of a chosen member of a degenerate level.
 
     Levels whose tangle is constant across the whole degenerate subspace
-    (the single-excitation families) report it without params. One row of
-    _level_tangles.
+    (the single-excitation families) report it without params. The
+    one-coupling, one-member case of _level_tangles.
     """
     cm = _as_model(model, delta)
     n = _check_level(cm.name, n)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -594,35 +592,35 @@ def _check_ansatz_approximation(rng: np.random.Generator) -> str:
 # ---------------------------------------------------------------------------
 # spin chains
 
-def _chain_points(points: int) -> list[tuple[str, float]]:
-    """(model, delta) pairs of a points-long grid over each model's
-    DELTA_RANGES, model by model in MODELS order."""
-    return [(name, d) for name in chains.MODELS
-            for d in np.linspace(*chains.DELTA_RANGES[name], points).tolist()]
+def _chain_grids(points: int) -> dict[str, np.ndarray]:
+    """A points-long grid over each model's DELTA_RANGES, in MODELS order."""
+    return {name: np.linspace(*chains.DELTA_RANGES[name], points) for name in chains.MODELS}
 
 
-def _hamiltonians(pairs: list[tuple[str, float]]) -> np.ndarray:
-    """(P, 8, 8) Hamiltonians of (model, delta) pairs, one stack per run of
-    pairs of the same model."""
-    return np.concatenate([chains.build_hamiltonian(name, [d for _, d in run])
-                           for name, run in groupby(pairs, key=itemgetter(0))])
+def _grid_members(name: str, grid: np.ndarray, rng: np.random.Generator):
+    """(M, 8) closed-form members of every level of a model at each coupling
+    of grid (P,), with each row's grid index, level energy and closed tangle
+    (M,), point by point and each point's levels in listing order: one row
+    per non-degenerate level, three random members per degenerate one.
 
-
-def _grid_members(pairs: list[tuple[str, float]], rng: np.random.Generator):
-    """(M, 8) closed-form members of every level at each (model, delta) pair,
-    with each row's pair index, level energy and closed tangle (M,): one row
-    per non-degenerate level, three random members (the draws of three
-    _random_params calls) per degenerate level or fused tfim subspace."""
+    The members come from one rng.normal(size=(P, 6 sum(k))) draw, the
+    numbers of per-point _draw_members(k, 3, rng) calls level by level; the
+    closed forms are one whole-grid call per level.
+    """
+    energies, _ = chains._energies(name, grid)
+    sizes = [len(f[0]) if f else 0 for f in
+             (chains._DEG_FAMILY.get((name, n)) for n in range(len(energies)))]
+    widths = np.multiply(6, sizes)
+    normals = np.split(rng.normal(size=(len(grid), widths.sum())), np.cumsum(widths)[:-1], axis=1)
     blocks = []
-    for i, (name, d) in enumerate(pairs):
-        for n, (e, _) in enumerate(chains.closed_form_spectrum(name, d)):
-            family = chains._DEG_FAMILY.get((name, n))
-            size = 3 if chains._at_fusion(name, n, d) else family and len(family[0])
-            coeffs = chains._draw_members(size, 3, rng) if size else None
-            amps = chains._level_members(name, n, d, coeffs)
-            blocks.append((amps, np.full(len(amps), i), np.full(len(amps), e),
-                           chains._level_tangles(name, n, d, coeffs)))
-    return tuple(np.concatenate(col) for col in zip(*blocks))
+    for n, (e, k, block) in enumerate(zip(energies, sizes, normals)):
+        coeffs = chains._normal_members(block.reshape(-1, 2, k)) if k else None
+        amps = chains._level_members(name, n, grid, coeffs)
+        point = np.repeat(np.arange(len(grid)), len(amps) // len(grid))
+        blocks.append((amps, point, e[point], chains._level_tangles(name, n, grid, coeffs)))
+    cols = [np.concatenate(col) for col in zip(*blocks)]
+    order = np.argsort(cols[1], kind="stable")
+    return tuple(col[order] for col in cols)
 
 
 def _residuals(h: np.ndarray, amps: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -641,36 +639,38 @@ def _row_tangles(amps: np.ndarray) -> np.ndarray:
 
 @register("chain-spectra")
 def _check_chain_spectra(rng: np.random.Generator, points: int = 21) -> str:
-    pairs = _chain_points(points)
-    h = _hamiltonians(pairs)
+    grids = _chain_grids(points)
+    h = np.concatenate([chains.build_hamiltonian(name, grid) for name, grid in grids.items()])
     evals, evecs = chains.eigensystem(h)
     worst_res = float(np.max(np.linalg.norm(h @ evecs - evecs * evals[:, None, :], axis=1)))
-    worst = 0.0
-    for (name, d), ev in zip(pairs, evals):
-        closed = chains.closed_form_spectrum(name, d)
-        expanded = np.sort(np.repeat([e for e, _ in closed], [m for _, m in closed]))
-        assert expanded.size == 8, "multiplicities do not sum to 8"
-        worst = max(worst, float(np.max(np.abs(ev - expanded))))
-        merged = chains.merge_levels(closed)
-        assert sum(m for _, m in merged) == 8
-        assert all(b - a > chains.GAP_TOL for (a, _), (b, _) in zip(merged, merged[1:]))
+    expanded = []
+    for name, grid in grids.items():
+        # the grid and then the model's crossings, in one closed-form call
+        energies, mults = chains._energies(name, np.concatenate([grid, chains.CROSSINGS[name]]))
+        levels = np.stack(energies, axis=1)
+        flat = np.sort(np.repeat(levels, mults, axis=1), axis=1)
+        assert flat.shape[1] == 8, "multiplicities do not sum to 8"
+        for row in levels[:points].tolist():
+            merged = chains.merge_levels(zip(row, mults))
+            assert sum(m for _, m in merged) == 8
+            assert all(b - a > chains.GAP_TOL for (a, _), (b, _) in zip(merged, merged[1:]))
+        apart = (np.diff(flat[points:], axis=1) > chains.GAP_TOL).all(axis=1)
+        assert not apart.any(), \
+            f"{name} has no coincidence at delta = {chains.CROSSINGS[name][np.argmax(apart)]}"
+        expanded.append(flat[:points])
+    worst = float(np.max(np.abs(evals - np.concatenate(expanded))))
     assert worst <= 1e-10, f"closed spectra off by {worst:.3e}"
     assert worst_res <= 1e-9, f"numeric eigenpair residual {worst_res:.3e}"
-    for name, spots in chains.CROSSINGS.items():
-        for dc in spots:
-            closed = sorted(e for e, m in chains.closed_form_spectrum(name, float(dc))
-                            for _ in range(m))
-            gaps = np.diff(closed)
-            assert float(gaps.min()) <= chains.GAP_TOL, \
-                f"{name} has no coincidence at delta = {dc}"
     return f"4 models x {points} points, spectrum gap {worst:.1e}, residual {worst_res:.1e}"
 
 
 @register("chain-eigenstates", stream=18)
 def _check_chain_eigenstates(rng: np.random.Generator, points: int = 5) -> str:
-    pairs = _chain_points(points)
-    amps, point, energy, _ = _grid_members(pairs, rng)
-    worst = float(np.max(_residuals(_hamiltonians(pairs)[point], amps, energy)))
+    res = []
+    for name, grid in _chain_grids(points).items():
+        amps, point, energy, _ = _grid_members(name, grid, rng)
+        res.append(_residuals(chains.build_hamiltonian(name, grid)[point], amps, energy))
+    worst = float(np.max(np.concatenate(res)))
     assert worst <= 1e-9, f"closed eigenstate residual {worst:.3e}"
     amps = chains._level_members("tfim", 2, 1.0, chains._draw_members(3, 3, rng))
     e2 = np.full(3, chains.closed_form_spectrum("tfim", 1.0)[2][0])
@@ -686,7 +686,8 @@ def _check_chain_eigenstates(rng: np.random.Generator, points: int = 5) -> str:
 
 @register("chain-tangles", stream=19)
 def _check_chain_tangles(rng: np.random.Generator, points: int = 7, fused: int = 6) -> str:
-    amps, _, _, closed = _grid_members(_chain_points(points), rng)
+    members = [_grid_members(name, grid, rng) for name, grid in _chain_grids(points).items()]
+    amps, _, _, closed = (np.concatenate(col) for col in zip(*members))
     worst = float(np.max(np.abs(closed - _row_tangles(amps))))
     assert worst <= 1e-8, f"closed tangles drift from 4|Hdet| by {worst:.3e}"
     anchor = chains.closed_form_tangle("xzx", 1, 0.0)
@@ -755,9 +756,9 @@ def _check_sweep_determinism(rng: np.random.Generator, points: int = 5) -> str:
         assert np.array_equal(getattr(first, f), getattr(again, f)), \
             f"same-seed sweeps differ in column {f}"
         assert len(getattr(first, f)) == len(first), f"column {f} has the wrong length"
-    for d, flag in zip(first.delta, first.crossing_flag):
-        expect_flag = any(abs(d - dc) <= chains.GAP_TOL for dc in chains.CROSSINGS["tfim"])
-        assert flag == expect_flag, f"crossing flag wrong at delta = {d}"
+    near = np.abs(first.delta[:, None] - chains.CROSSINGS["tfim"]) <= chains.GAP_TOL
+    wrong = first.crossing_flag != near.any(axis=1)
+    assert not wrong.any(), f"crossing flag wrong at delta = {first.delta[np.argmax(wrong)]}"
     assert sorted(set(first.delta)) == grid
     pert = chains.sweep("tfim", [0.3, 0.8], perturb=1e-3, seed=sub)
     assert np.isnan(pert.energy_closed).all() and np.isnan(pert.tau_closed).all(), \
@@ -771,20 +772,23 @@ def _check_sweep_determinism(rng: np.random.Generator, points: int = 5) -> str:
 @register("perturbation-probe")
 def _check_perturbation_probe(rng: np.random.Generator) -> str:
     xi = 1e-3
-    pairs = [(name, d) for name in chains.MODELS for d in (0.6, 0.7, 0.75, 0.8)]
-    evals, evecs = chains.eigensystem(_hamiltonians(pairs) + xi * chains.pauli_string("ZII"))
-    taus = _row_tangles(evecs.swapaxes(1, 2).reshape(-1, 8)).reshape(-1, 8)
+    deltas = np.array([0.6, 0.7, 0.75, 0.8])
+    h = np.concatenate([chains.build_hamiltonian(name, deltas) for name in chains.MODELS])
+    evals, evecs = chains.eigensystem(h + xi * chains.pauli_string("ZII"))
+    taus = _row_tangles(evecs.swapaxes(1, 2).reshape(-1, 8)).reshape(len(chains.MODELS), -1, 8)
+    evals = evals.reshape(taus.shape)
+    points = np.arange(len(deltas))
     worst_deg = 0.0
     worst_shift = 0.0
-    for (name, d), ep, tau in zip(pairs, evals, taus):
+    for name, ep, tau in zip(chains.MODELS, evals, taus):
         if name in ("xx", "xxx"):
             worst_deg = max(worst_deg, float(tau.max()))
             continue
-        closed = chains.closed_form_spectrum(name, d)
+        energies, _ = chains._energies(name, deltas)
         for n in (0, 1, 2, 5) if name == "tfim" else (0, 1, 4, 5):
-            jp = int(np.argmin(np.abs(ep - closed[n][0])))
-            closed_tau = chains._level_tangles(name, n, d, None)[0]
-            worst_shift = max(worst_shift, abs(tau[jp] - closed_tau))
+            jp = np.argmin(np.abs(ep - energies[n][:, None]), axis=1)
+            shift = np.abs(tau[points, jp] - chains._level_tangles(name, n, deltas, None))
+            worst_shift = max(worst_shift, float(shift.max()))
     assert worst_deg < 1e-2, \
         f"probe-selected members of degenerate levels reach tangle {worst_deg:.3e}"
     assert worst_shift <= 10.0 * xi, \

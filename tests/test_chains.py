@@ -200,10 +200,18 @@ def test_closed_forms_refuse_couplings_where_they_overflow(name):
     calls = [(big, lambda: closed_form_spectrum(name, big)),
              (huge, lambda: build_hamiltonian(name, huge)),
              (huge, lambda: build_hamiltonian(name, [0.5, huge]))]
+    # a lone coupling is the 0-d case of a grid, whatever its Python type
+    calls += [(big, lambda d=d: _energies(name, d))
+              for d in (big, np.float64(big), int(big), [0.5, big])]
     if name in ("tfim", "xzx"):
         calls += [(big, lambda: sweep(name, [0.5, big])),
                   (big, lambda: closed_form_eigenstate(name, 0, big)),
                   (big, lambda: closed_form_tangle(name, 0, big))]
+        for n in (0, 1):
+            for bad, d in ((big, np.float64(big)), (big, int(big)),
+                           (big, np.array([0.5, big, 1.0])), (huge, np.array([0.5, huge]))):
+                calls += [(bad, lambda n=n, d=d: _level_members(name, n, d, None)),
+                          (bad, lambda n=n, d=d: _level_tangles(name, n, d, None))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad, call in calls:

@@ -21,6 +21,7 @@ from triqent import (
     ComplexTau,
     OutOfDomain,
     Region,
+    SuperpositionParams,
     TriqentError,
     UnknownRegion,
     UnknownType,
@@ -33,7 +34,10 @@ from triqent import (
     bound_curve,
     canonical_decompose,
     classify_rows,
+    closed_form_eigenstate,
+    closed_form_tangle,
     decompose_rows,
+    degenerate_bloch_family,
     dist_to_diagonal,
     f_lowest_order,
     in_stratum,
@@ -403,6 +407,7 @@ def test_array_calls_equal_their_stacked_one_row_calls(rows):
 _ROW = np.array([[0.2, 0.3, 0.4], [0.5, 0.5, 0.5]])
 _CF = canonical_decompose(w_state())
 _AMPS = np.array([ghz().amp, w_state().amp])
+_MEMBER = SuperpositionParams(alpha=0.6, beta=0.8)
 
 
 def _with_bad_row(bad):
@@ -450,6 +455,9 @@ _BAD_VALUE_CALLS = [
     ("classify_rows/negative", lambda x: classify_rows(_AMPS, cd_tol=min(x, -1.0))),
     ("sweep/perturb", lambda x: sweep("tfim", [0.5], perturb=x)),
     ("sweep/grid", lambda x: sweep("xxx", [0.5, x])),
+    ("closed_form_eigenstate/level", lambda x: closed_form_eigenstate("tfim", x, 0.5)),
+    ("closed_form_tangle/level", lambda x: closed_form_tangle("xzx", x, 0.5)),
+    ("degenerate_bloch_family/level", lambda x: degenerate_bloch_family("xx", x, _MEMBER)),
 ]
 
 _BAD_SHAPE_CALLS = [
@@ -481,6 +489,15 @@ _BAD_SHAPE_CALLS = [
     ("sweep/grid-scalar", lambda: sweep("tfim", 0.5)),
     ("sweep/grid-two-axis", lambda: sweep("tfim", [[0.5]])),
     ("sweep/grid-text", lambda: sweep("tfim", ["a"])),
+    # a level index is an integer, not a number that truncates to one
+    ("closed_form_eigenstate/level-fraction", lambda: closed_form_eigenstate("tfim", 2.7, 0.5)),
+    ("closed_form_eigenstate/level-none", lambda: closed_form_eigenstate("tfim", None, 0.5)),
+    ("closed_form_eigenstate/level-text", lambda: closed_form_eigenstate("tfim", "x", 0.5)),
+    ("closed_form_tangle/level-bool", lambda: closed_form_tangle("tfim", True, 0.5)),
+    ("degenerate_bloch_family/level-fraction",
+     lambda: degenerate_bloch_family("xx", 4.5, _MEMBER)),
+    ("degenerate_bloch_family/level-none", lambda: degenerate_bloch_family("xx", None, _MEMBER)),
+    ("degenerate_bloch_family/level-text", lambda: degenerate_bloch_family("xx", "x", _MEMBER)),
 ]
 
 

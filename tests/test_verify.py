@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from triqent import ValidationError, check_names, run_checks
+from triqent import ValidationError, chains, check_names, run_checks
 from triqent import verify
 
 
@@ -15,6 +15,27 @@ def test_every_check_passes_at_the_default_seed():
     assert len(results) == len(check_names())
     assert all(r.seed == 0 for r in results)
     assert all(r.detail for r in results)
+
+
+@pytest.mark.parametrize("name", chains.MODELS)
+def test_grid_members_equal_a_per_point_loop(name):
+    # 11 points put tfim's grid on its fused coupling delta = 1, where the
+    # generic families are drawn like everywhere else
+    grid = np.linspace(*chains.DELTA_RANGES[name], 11)
+    rng = np.random.default_rng(41)
+    got = verify._grid_members(name, grid, rng)
+    ref_rng = np.random.default_rng(41)
+    ref = []
+    for i, d in enumerate(grid.tolist()):
+        for n, (e, _) in enumerate(chains.closed_form_spectrum(name, d)):
+            family = chains._DEG_FAMILY.get((name, n))
+            coeffs = chains._draw_members(len(family[0]), 3, ref_rng) if family else None
+            amps = chains._level_members(name, n, d, coeffs)
+            ref.append((amps, np.full(len(amps), i), np.full(len(amps), e),
+                        chains._level_tangles(name, n, d, coeffs)))
+    for col, want in zip(got, (np.concatenate(col) for col in zip(*ref)), strict=True):
+        assert col.dtype == want.dtype and col.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_unknown_check_names_are_rejected_up_front():
