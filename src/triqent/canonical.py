@@ -54,10 +54,26 @@ BRANCHES = ("plus", "minus")
 
 
 _KIND = {k: i for i, k in enumerate(TYPE_KINDS)}
-# the GHZ-class type of each zero pattern of (l1, l2, l3), indexed by
-# 4 [l1 = 0] + 2 [l2 = 0] + [l3 = 0]
-_GHZ_KINDS = np.array([_KIND[k] for k in (
-    "5", "4b-l3", "4b-l2", "3b-23", "4c", "3b-13", "3b-12", "2b")])
+
+
+def _label_table():
+    """SLOCC class and type index of each label code.
+
+    Codes 0-31 are states with no pure marginal: 16 [W] + 8 [l1 = 0] +
+    4 [l2 = 0] + 2 [l3 = 0] + [l4 = 0]. A GHZ-class type is fixed by the zero
+    pattern of (l1, l2, l3); a W-class state is 3a when l1 and l4 vanish and
+    4a otherwise. Code 32 is a product state and 33 + q a state with qubit q
+    split off (type 2a).
+    """
+    ghz = ("5", "4b-l3", "4b-l2", "3b-23", "4c", "3b-13", "3b-12", "2b")
+    kinds = ([ghz[code >> 1] for code in range(16)]
+             + ["3a" if code & 9 == 9 else "4a" for code in range(16)] + ["1"] + 3 * ["2a"])
+    return np.array(16 * [5] + 16 * [4] + [0, 1, 2, 3]), np.array([_KIND[k] for k in kinds])
+
+
+_CODE_SLOCC, _CODE_KIND = _label_table()
+# the weight of the zero bit of l1..l4 in a label code
+_ZERO_BITS = np.array([8, 4, 2, 1])
 
 
 @dataclass(frozen=True)
@@ -151,33 +167,29 @@ def _branch_pairs(amps: np.ndarray):
     """
     t = amps.reshape(-1, 2, 2, 2)
     c, m, a = _pencil(t[:, 0], t[:, 1])
-    quad = np.abs(a) > _TINY
-    # roots x = w/z of a x^2 + m x + c; rows off the quadratic divide by 1
-    a1 = np.where(quad, a, 1.0)
-    # near a double root the roots move as the rounding of disc over
-    # sqrt(disc); its products are formed in real arithmetic, each rounded
-    # once, as in scalar complex arithmetic (numpy's array complex multiply
-    # fuses them), so the branch pairs match a scalar evaluation
-    a4 = 4.0 * a
-    disc = ((m.real * m.real - m.imag * m.imag) - (a4.real * c.real - a4.imag * c.imag)
-            + 1j * ((m.real * m.imag + m.imag * m.real) - (a4.real * c.imag + a4.imag * c.real)))
-    # the discriminant equals the hyperdeterminant, so a W-class state zeroes
-    # it exactly; the computed value is then rounding noise (measured tail a
-    # few 1e3 eps*scale) and sqrt would split the double root by
-    # O(sqrt(eps)), polluting the small canonical coefficients. Collapse to
-    # the exact double root (below 1e5 eps*scale); genuinely split roots sit
-    # many decades above this cutoff.
-    scale = np.abs(m) ** 2 + 4.0 * np.abs(a) * np.abs(c)
-    double = quad & (np.abs(disc) <= _DOUBLE_ROOT * scale)
+    # the discriminant is the hyperdeterminant, in invariants' arithmetic;
+    # a W-class state zeroes it exactly, so the computed value is rounding
+    # noise (measured tail a few 1e3 eps*scale) and sqrt would split the
+    # double root by O(sqrt(eps)), polluting the small canonical
+    # coefficients. Collapse to the exact double root (below 1e5
+    # eps*scale); genuinely split roots sit many decades above this cutoff.
+    disc = m * m - 4.0 * a * c
+    abs_a = np.abs(a)
+    quad = abs_a > _TINY
+    double = quad & (np.abs(disc) <= _DOUBLE_ROOT * (np.abs(m) ** 2 + 4.0 * abs_a * np.abs(c)))
     collapsed = ~quad | double
+    odd = collapsed.any()
+    # roots x = w/z of a x^2 + m x + c; rows off the quadratic divide by 1
+    a1 = np.where(quad, a, 1.0) if odd else a
     sq = np.sqrt(disc)
     p, q = sq - m, sq + m
-    x = np.empty((len(amps), 2), dtype=complex)
+    pairs = np.empty((len(amps), 2, 2), dtype=complex)
+    pairs[..., 0] = 1.0
+    x = pairs[..., 1]
     x[:, 0] = np.where(np.abs(p) >= np.abs(q), p, -q) / (2.0 * a1)
     # second root via the product of roots, avoiding cancellation; a split
     # root is never 0, since |x| >= sqrt|disc| / 2 |a| and |disc| > 0
-    x[:, 1] = (c / a1) / np.where(collapsed, 1.0, x[:, 0])
-    odd = collapsed.any()
+    x[:, 1] = (c / a1) / (np.where(collapsed, 1.0, x[:, 0]) if odd else x[:, 0])
     if odd:
         x[double] = (-m / (2.0 * a1))[double, None]
         # a linear condition has one finite root and one at infinity, a
@@ -186,8 +198,6 @@ def _branch_pairs(amps: np.ndarray):
         lin = ~quad & (np.abs(m) > _TINY)
         const = ~quad & ~lin & (np.abs(c) > _TINY)
         x[lin, 0] = (-c / np.where(lin, m, 1.0))[lin]
-    pairs = np.empty((len(amps), 2, 2), dtype=complex)
-    pairs[..., 0], pairs[..., 1] = 1.0, x
     pairs /= np.hypot(1.0, np.abs(x))[..., None]
     if odd:
         pairs[np.stack([const, lin | const], axis=-1)] = (0.0, 1.0)
@@ -208,7 +218,9 @@ def _branch_pairs(amps: np.ndarray):
     # complex values compare by real part, then imaginary part
     key = np.rint(pairs.view(float)[..., 2:] * 1e12).view(complex)
     swap = key[:, 1] > key[:, 0]
-    return np.where(swap[..., None], pairs[:, ::-1], pairs), degenerate
+    if swap.any():
+        pairs = np.where(swap[..., None], pairs[:, ::-1], pairs)
+    return pairs, degenerate
 
 
 def det_zero_solutions(st: SliceTensors) -> DetZeroBranches:
@@ -235,8 +247,14 @@ def decompose_rows(amps) -> CanonicalRows:
     leaves every reported invariant (Bloch norms, concurrences, tangle)
     unchanged. phi is 0 where a coefficient vanishes, since that frees
     enough local phases to cancel it, and where l1 is below ZERO_TOL.
+    The rows are checked by _amp_rows, then decomposed by _decompose.
     """
-    amps = _amp_rows(amps)
+    return _decompose(_amp_rows(amps))
+
+
+def _decompose(amps: np.ndarray) -> CanonicalRows:
+    """decompose_rows of (n, 8) complex rows that have already passed a norm
+    check: _amp_rows or PureState3's."""
     n = len(amps)
     pairs, degenerate = _branch_pairs(amps)
     # rows (z, w) of both branches, then (-w*, z*) of both, times (T0, T1)
@@ -244,7 +262,7 @@ def decompose_rows(amps) -> CanonicalRows:
     rot = (coef @ amps.reshape(n, 2, 4)).reshape(n, 2, 2, 2, 2)
     u, s, vh = np.linalg.svd(rot[:, 0])
     res = s.prod(axis=-1)  # |det(z T0 + w T1)|
-    if not (res <= 1e-10).all():  # NaN fails too
+    if not res.max(initial=0.0) <= 1e-10:  # NaN fails too
         i = int(np.argmax(~(res <= 1e-10).all(axis=1)))
         raise NumericalError(f"slice rotation leaves determinant {res[i].max():.3e} in row {i}")
     mu = (u.conj().swapaxes(-1, -2) @ rot[:, 1] @ vh.conj().swapaxes(-1, -2)).reshape(n, 2, 4)
@@ -253,26 +271,33 @@ def decompose_rows(amps) -> CanonicalRows:
     cross = mu[..., 0] * mu[..., 3] * np.conj(mu[..., 1] * mu[..., 2])
     phi = np.abs(np.arctan2(cross.imag, cross.real))
     phi[mags.min(axis=-1) < _TINY] = 0.0
-    flat = s[..., 0] < _TINY
-    if flat.any():
+    if s[..., 0].min(initial=1.0) < _TINY:
         # the state lives in the A = 1 block: plain Schmidt split of B vs C
+        flat = s[..., 0] < _TINY
         sv = np.linalg.svd(mu[flat].reshape(-1, 2, 2), compute_uv=False)
         lam[flat] = 0.0
         lam[flat, 1], lam[flat, 4] = sv[:, 0], sv[:, 1]
         phi[flat] = 0.0
     lam /= np.sqrt((lam * lam).sum(axis=-1, keepdims=True))
-    branch = (lam[:, 1, 0] > lam[:, 0, 0] + 1e-12).astype(np.intp)
-    rows = np.arange(n)
-    picked, phi = lam[rows, branch], phi[rows, branch]
+    second = lam[:, 1, 0] > lam[:, 0, 0] + 1e-12
+    picked = np.where(second[:, None], lam[:, 1], lam[:, 0])
+    phi = np.where(second, phi[:, 1], phi[:, 0])
     phi[picked[:, 1] < ZERO_TOL] = 0.0
-    return CanonicalRows(lambdas=picked, phi=phi, branch=branch, degenerate=degenerate,
-                         pairs=pairs, branch_lambdas=lam)
+    return CanonicalRows(lambdas=picked, phi=phi, branch=second.astype(np.intp),
+                         degenerate=degenerate, pairs=pairs, branch_lambdas=lam)
+
+
+def _state(s) -> PureState3:
+    """s, which must be a PureState3; ValidationError otherwise."""
+    if not isinstance(s, PureState3):
+        raise ValidationError(f"expected a PureState3, got {type(s).__name__}")
+    return s
 
 
 def canonical_decompose(s: PureState3) -> CanonicalForm:
     """Canonical form of a state: its row of decompose_rows, computed once
     per state (PureState3.canonical)."""
-    return s.canonical
+    return _state(s).canonical
 
 
 def _canonical_amps(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -310,22 +335,16 @@ def _label_codes(r, c, hdet, tol: float, cd_tol: float, lambdas_of):
     Three pure marginals give type 1 (A-B-C), one or two give 2a with the
     purest qubit split off. lambdas_of(need) gives the canonical
     coefficients of the rows selected by the mask need, those with no pure
-    marginal, whose tangle is cross-checked by check_monogamy.
+    marginal, whose tangle is cross-checked by check_monogamy. Each row gets
+    a label code (see _label_table) that indexes _CODE_SLOCC and _CODE_KIND.
     """
     near_one = (r > 1.0 - tol).sum(axis=1)
-    product = near_one == 3
-    slocc = np.where(product, 0, 1 + r.argmax(axis=1))
-    kind = np.where(product, _KIND["1"], _KIND["2a"])
+    code = np.where(near_one == 3, 32, 33 + r.argmax(axis=1))
     need = near_one == 0
     if need.any():
         tau = _tangles(hdet[need], r[need], c[need])
-        zero = lambdas_of(need) < cd_tol
-        w_class = tau < tol
-        w_kind = np.where(zero[:, 1] & zero[:, 4], _KIND["3a"], _KIND["4a"])
-        ghz_kind = _GHZ_KINDS[4 * zero[:, 1] + 2 * zero[:, 2] + zero[:, 3]]
-        slocc[need] = 5 - w_class
-        kind[need] = np.where(w_class, w_kind, ghz_kind)
-    return slocc, kind
+        code[need] = (lambdas_of(need)[:, 1:] < cd_tol) @ _ZERO_BITS + 16 * (tau < tol)
+    return _CODE_SLOCC[code], _CODE_KIND[code]
 
 
 def classify_rows(amps, tol: float = 1e-9, cd_tol: float | None = None):
@@ -335,14 +354,14 @@ def classify_rows(amps, tol: float = 1e-9, cd_tol: float | None = None):
     tol drives the Bloch-norm and tangle thresholds; cd_tol (default
     ZERO_TOL) decides which canonical coefficients count as zero. On
     borderline states the zero reading wins, i.e. the more specific type.
-    One invariants call labels every row; one decompose_rows call covers
-    the rows that are not of type 1 or 2a.
+    One invariants call labels every row; one _decompose call covers the
+    rows that are not of type 1 or 2a.
     """
     tol, cd_tol = _tolerances(tol, cd_tol)
     amps = _amp_rows(amps)
     r, c, hdet = invariants(amps)
     slocc, kind = _label_codes(r, c, hdet, tol, cd_tol,
-                               lambda need: decompose_rows(amps[need]).lambdas)
+                               lambda need: _decompose(amps[need]).lambdas)
     return np.array(SLOCC_CLASSES)[slocc], np.array(TYPE_KINDS)[kind]
 
 
@@ -350,7 +369,7 @@ def classify(s: PureState3, tol: float = 1e-9, cd_tol: float | None = None) -> E
     """SLOCC class and refined type of a state: its row of classify_rows,
     read from the state's invariants and canonical form (both cached)."""
     tol, cd_tol = _tolerances(tol, cd_tol)
-    r, c, hdet = s.invariants
+    r, c, hdet = _state(s).invariants
     slocc, kind = _label_codes(r[None], c[None], np.array([hdet]), tol, cd_tol,
                                lambda need: np.array([s.canonical.lambdas]))
     return EntLabel(SLOCC_CLASSES[slocc[0]], TYPE_KINDS[kind[0]], tol)

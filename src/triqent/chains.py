@@ -96,6 +96,25 @@ for _m in _PAULI_TABLE.values():
 _EIGHT = np.arange(8)
 
 
+def _finite(x) -> bool:
+    """math.isfinite, where an int beyond the float range is not finite."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _couplings(name: str, delta) -> np.ndarray:
+    """delta as a float array: OutOfDomain where a coupling lies beyond the
+    float range, ValidationError where one is not a real number."""
+    try:
+        return np.asarray(delta, dtype=float)
+    except OverflowError:
+        raise OutOfDomain(f"{name} needs a finite delta, got one beyond the float range") from None
+    except (TypeError, ValueError):
+        raise ValidationError(f"couplings must be real numbers, got {delta!r}") from None
+
+
 def _check_model(name: str, deltas=()) -> None:
     """Refuse an unknown model name, then the first coupling outside the
     model's domain: every delta must be finite, and non-negative except for
@@ -103,7 +122,7 @@ def _check_model(name: str, deltas=()) -> None:
     if name not in MODELS:
         raise UnknownModel(f"model must be one of {MODELS}, got {name!r}")
     for d in deltas:
-        if not math.isfinite(d):
+        if not _finite(d):
             raise OutOfDomain(f"{name} needs a finite delta, got {d}")
         if name != "xxx" and d < 0.0:
             raise OutOfDomain(f"{name} needs delta >= 0, got {d}")
@@ -131,7 +150,10 @@ def _as_model(model, delta) -> ChainModel:
         return model
     if delta is None:
         raise ValidationError("delta is required when the model is given by name")
-    return ChainModel(str(model), float(delta))
+    d = _couplings(str(model), delta)
+    if d.ndim != 0:
+        raise ValidationError(f"expected one coupling, got shape {d.shape}")
+    return ChainModel(str(model), float(d))
 
 
 def build_hamiltonian(model, delta=None) -> np.ndarray:
@@ -146,7 +168,7 @@ def build_hamiltonian(model, delta=None) -> np.ndarray:
         name, d = cm.name, cm.delta
     else:
         name = str(model)
-        d = np.asarray(delta, dtype=float)
+        d = _couplings(name, delta)
         if d.ndim != 1:
             raise ValidationError(f"expected one coupling or a 1-D grid, got shape {d.shape}")
         _check_model(name, d.tolist())
@@ -191,7 +213,10 @@ def eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # int or an array, and give numpy values shaped like d: one coupling is the
 # 0-d case of the grid formulas, so a coupling's bits do not depend on the
 # grid it is in. Overflow to inf (and inf - inf) is silent and is refused by
-# _refuse_overflow, which names the first coupling at fault.
+# _refuse_overflow, which names the first coupling at fault. An f that tends
+# to 0 as d grows is written without cancellation: with a, b = sqrt(1 +- d +
+# d^2), 2b - 2d + 1 = (2b + d + 1) / (b + d)^2 and 2a - 2d - 1 = (2a + d - 1)
+# / (a + d)^2, since a - d = (1 + d) / (a + d) and b - d = (1 - d) / (b + d).
 
 def _ab(d):
     """d as floats, sqrt(1 + d + d^2) and sqrt(1 - d + d^2); inf where d^2
@@ -356,8 +381,8 @@ def _tfim_fg(d) -> dict:
         d, a, b = _ab(d)
         f0 = -1.0 + 2.0 * d + 2.0 * b
         f1 = 2.0 * d + 2.0 * a + 1.0
-        f2 = -2.0 * d + 1.0 + 2.0 * b
-        f5 = -2.0 * d - 1.0 + 2.0 * a
+        f2 = (2.0 * b + d + 1.0) / ((b + d) * (b + d))
+        f5 = (2.0 * a + d - 1.0) / ((a + d) * (a + d))
         fg = {
             0: (f0, np.sqrt(f0 * f0 + 3.0)),
             1: (f1, _SQRT3 * np.sqrt(f1 * f1 + 3.0)),
@@ -373,7 +398,7 @@ def _xzx_fg(d) -> dict:
     with np.errstate(over="ignore", invalid="ignore"):
         d, a, _ = _ab(d)
         f0 = 2.0 * d + 2.0 * a + 1.0
-        f4 = -2.0 * d + 2.0 * a - 1.0
+        f4 = (2.0 * a + d - 1.0) / ((a + d) * (a + d))
         fg = {
             0: (f0, _SQRT3 * np.sqrt(f0 * f0 + 3.0)),
             1: (f0, _SQRT3 * np.sqrt(f0 * f0 + 3.0)),
@@ -860,15 +885,11 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
     _check_model(name)
     if params_policy not in ("grid", "mc"):
         raise ValidationError(f"params_policy must be grid or mc, got {params_policy!r}")
-    if not isinstance(perturb, numbers.Real) or not math.isfinite(perturb):
+    if not isinstance(perturb, numbers.Real) or not _finite(perturb):
         raise ValidationError(f"perturb must be a finite real number, got {perturb!r}")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    try:
-        grid = np.asarray(delta_grid, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"delta grid must be a sequence of couplings, got {delta_grid!r}") from None
+    grid = _couplings(name, delta_grid)
     if grid.ndim != 1:
         raise ValidationError(f"delta grid must be one-dimensional, got shape {grid.shape}")
     if (np.diff(grid) <= 0.0).any():

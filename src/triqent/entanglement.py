@@ -109,7 +109,13 @@ def concurrence_pair(s: PureState3, pair: str) -> float:
 
 
 def hyperdeterminant(s: PureState3) -> complex:
-    """Degree-4 polynomial invariant of the 2x2x2 amplitude tensor."""
+    """Degree-4 polynomial invariant of the 2x2x2 amplitude tensor.
+
+    Only its modulus is invariant under local unitaries: under U_A x U_B x
+    U_C it becomes det(U_A)^2 det(U_B)^2 det(U_C)^2 Hdet. So a formula in
+    local-unitary invariants such as the Bloch norms can give |Hdet| (the
+    tangle), but not its phase.
+    """
     return s.invariants[2]
 
 
@@ -149,7 +155,7 @@ def check_monogamy(r: np.ndarray, c: np.ndarray, tau: np.ndarray) -> None:
     C_A(BC)^2 - C_AB^2 - C_AC^2 of its row of r, c (from invariants) to
     1e-9; both routes are exact for pure states."""
     alt = np.maximum(0.0, 1.0 - r[:, 0] ** 2) - c[:, 0] ** 2 - c[:, 1] ** 2
-    i = int(np.argmax(np.abs(tau - alt)))
+    i = np.abs(tau - alt).argmax()
     if abs(tau[i] - alt[i]) > 1e-9:
         raise NumericalError(
             f"tangle routes disagree: 4|Hdet| = {tau[i]}, monogamy = {alt[i]}")

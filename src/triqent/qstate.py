@@ -69,10 +69,11 @@ class PureState3:
     @cached_property
     def canonical(self) -> "CanonicalForm":
         """The canonical form: the one row of canonical.decompose_rows for
-        this state, computed on first use."""
-        from .canonical import decompose_rows
+        this state, computed on first use; the state's norm is already
+        checked."""
+        from .canonical import _decompose
 
-        return decompose_rows(self.amp[None, :]).form(0)
+        return _decompose(self.amp[None, :]).form(0)
 
     def to_json(self) -> str:
         """Serialize as a JSON array of 8 [re, im] pairs."""
@@ -125,7 +126,8 @@ class SliceTensors:
 def _check_norms(amps: np.ndarray) -> None:
     """The PureState3 norm check over every row of (m, 8) amplitudes: raise
     BadNormalization unless each row has norm 1 within NORM_TOL."""
-    norms = np.linalg.norm(amps, axis=-1)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, and fails
+        norms = np.linalg.norm(amps, axis=-1)
     bad = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN norms fail too
     if bad.any():
         raise BadNormalization(f"state norm {norms[bad][0]} deviates from 1 beyond {NORM_TOL}")
@@ -192,12 +194,11 @@ def normalize_rows(raw) -> np.ndarray:
     re, im = arr.real[:, None], arr.imag[:, None]
     # a (1, 8) @ (8, 1) product per row is one BLAS dot, like norm's
     arr /= np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
-    # the flat index of each row's first significant amplitude: every unit
-    # row has one
-    mag = np.hypot(arr.real, arr.imag)
-    lead = (mag > _PHASE_REF).argmax(axis=1, keepdims=True)
-    lead += np.arange(0, arr.size, 8)[:, None]
-    arr *= np.conj(arr.reshape(-1)[lead]) / mag.reshape(-1)[lead]
+    # the column of each row's first significant amplitude: every unit row
+    # has one
+    lead = (np.hypot(arr.real, arr.imag) > _PHASE_REF).argmax(axis=1, keepdims=True)
+    ref = arr[np.arange(len(arr))[:, None], lead]
+    arr *= np.conj(ref) / np.hypot(ref.real, ref.imag)
     return arr
 
 
@@ -261,9 +262,19 @@ def reassemble(st: SliceTensors) -> PureState3:
     return PureState3(t.reshape(8))
 
 
+def _generator(seed) -> np.random.Generator:
+    """np.random.default_rng(seed): seed may be a non-negative int, a sequence
+    of them, or a Generator; ValidationError otherwise."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"seed must be a non-negative integer or a Generator, got {seed!r}") from None
+
+
 def sample_haar(seed) -> PureState3:
     """A Haar-random pure state: one row of _haar_amps, normalized."""
-    return normalize(_haar_amps(1, np.random.default_rng(seed))[0])
+    return normalize(_haar_amps(1, _generator(seed))[0])
 
 
 def _haar_amps(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -344,30 +355,34 @@ TYPE_IDS = tuple(_TYPE_SUPPORTS)
 _LAMBDA2_FLOOR = 1e-4
 
 
-def _draw_lambdas(support, n: int, rng: np.random.Generator,
-                  lead: float = 0.0) -> np.ndarray:
-    """n rows of canonical coefficients (l0..l4) on the support, shape (n, 5).
-
-    The squared values are lead on the first support slot plus (1 - lead)
-    times a Dirichlet(1, ..., 1) draw, i.e. uniform on the part of the
-    simplex where that slot holds at least lead; rows with an active value
-    below the floor are redrawn, for at most 200 rounds.
-    """
-    k, e0 = len(support), np.eye(len(support))[0]
+def _draw_squares(k: int, n: int, rng: np.random.Generator, lead: float = 0.0) -> np.ndarray:
+    """n rows of k squared coefficients, shape (n, k): lead on the first
+    slot plus (1 - lead) times a Dirichlet(1, ..., 1) draw, i.e. uniform on
+    the part of the simplex where that slot holds at least lead; rows with a
+    value below the floor are redrawn, for at most 200 rounds."""
 
     def draw(m):
-        return lead * e0 + (1.0 - lead) * rng.dirichlet(np.ones(k), size=m)
+        lam2 = rng.dirichlet(np.ones(k), size=m)
+        if lead:
+            lam2 *= 1.0 - lead
+            lam2[:, 0] += lead
+        return lam2
 
     lam2 = draw(n)
     for _ in range(200):
+        if not lam2.min(initial=1.0) < _LAMBDA2_FLOOR:
+            return lam2
         bad = lam2.min(axis=1) < _LAMBDA2_FLOOR
-        if not bad.any():
-            break
         lam2[bad] = draw(int(bad.sum()))
-    else:
-        raise NumericalError("simplex sampler failed to clear the floor")
+    raise NumericalError("simplex sampler failed to clear the floor")
+
+
+def _draw_lambdas(support, n: int, rng: np.random.Generator,
+                  lead: float = 0.0) -> np.ndarray:
+    """n rows of canonical coefficients (l0..l4) on the support, shape (n, 5),
+    their squares drawn by _draw_squares."""
     lam = np.zeros((n, 5))
-    lam[:, list(support)] = np.sqrt(lam2)
+    lam[:, list(support)] = np.sqrt(_draw_squares(len(support), n, rng, lead))
     return lam
 
 
@@ -380,7 +395,7 @@ def sample_type(t: str, seed) -> PureState3:
     """
     from .canonical import classify
 
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     for _ in range(100):
         out = normalize(_sample_type_batch(t, 1, rng)[0])
         got = classify(out).kind
@@ -398,11 +413,12 @@ def _sample_type_batch(t: str, n: int, seed) -> np.ndarray:
     three independent Haar-random local unitaries. seed may be an int or a
     Generator.
     """
-    if t not in _TYPE_SUPPORTS:
+    if not isinstance(t, str) or t not in _TYPE_SUPPORTS:
         raise UnknownType(f"unknown entanglement type {t!r}")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     supports = _TYPE_SUPPORTS[t]
-    pick = rng.integers(len(supports), size=n)
+    # a type with one support draws no pick: integers(1) takes nothing from rng
+    pick = rng.integers(len(supports), size=n) if len(supports) > 1 else None
     # With l1 = 0 the pencil det(z T0 + w T1) is w (z l0 l4 - w l2 l3); its
     # other root, w/z = x = l0 l4 / (l2 l3), gives l0'^2 = (l0^2 + x^2 (1 -
     # l0^2)) / (1 + x^2), which beats l0^2 exactly when l0^2 < 1/2, and
@@ -412,14 +428,14 @@ def _sample_type_batch(t: str, n: int, seed) -> np.ndarray:
     # rows innermost, as the applies want them
     amp = np.zeros((8, n), dtype=complex)
     for si, support in enumerate(supports):
-        mask = pick == si
-        k = int(mask.sum())
+        cols = np.arange(n) if pick is None else (pick == si).nonzero()[0]
+        k = len(cols)
         if k == 0:  # an empty draw would take nothing from rng
             continue
-        lam = _draw_lambdas(support, k, rng, lead).astype(complex)
+        slots = np.array([_CD_AMP_IDX[j] for j in support])
+        amp[slots[:, None], cols] = np.sqrt(_draw_squares(len(support), k, rng, lead)).T
         if 1 in support:
-            lam[:, 1] *= np.exp(1j * rng.uniform(0.0, np.pi, size=k))
-        amp[np.array(_CD_AMP_IDX)[:, None], mask.nonzero()[0]] = lam.T
+            amp[4, cols] *= np.exp(1j * rng.uniform(0.0, np.pi, size=k))
     t3 = amp.reshape(2, 2, 2, n)
     for axis, u in enumerate(_haar_u2_batch(n, rng)):
         t3 = _apply_rows(t3, u, axis)

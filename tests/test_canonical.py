@@ -1,6 +1,10 @@
 """Five-coefficient canonical form: structure, branches, anchors, classify."""
 from __future__ import annotations
 
+import hashlib
+import warnings
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,7 @@ from triqent import (
     CanonicalForm,
     NumericalError,
     PureState3,
+    TriqentError,
     ValidationError,
     bloch_triple,
     canonical,
@@ -24,6 +29,7 @@ from triqent import (
     decompose_rows,
     det_zero_solutions,
     normalize,
+    normalize_rows,
     reconstruct,
     sample_type,
     slice_state,
@@ -223,6 +229,49 @@ def _amp_row(draw):
 _ROW_FIELDS = ("lambdas", "phi", "branch", "degenerate", "pairs", "branch_lambdas")
 
 
+def _digest_rows() -> np.ndarray:
+    """A fixed set of unit rows: 40 scrambled rows of each of TYPE_KINDS,
+    every aligned zero pattern of (l0..l4) at phases 0, pi/3 and pi, 20
+    scrambled rows of each kind plus noise of size 1e-12 to 1e-3, and the
+    anchors."""
+    rng = np.random.default_rng(2020)
+    typed = [_sample_type_batch(k, 40, rng) for k in TYPE_KINDS]
+    aligned = []
+    for size in range(1, 6):
+        for support in combinations(range(5), size):
+            for phase in (0.0, np.pi / 3, np.pi):
+                amp = np.zeros(8, dtype=complex)
+                amp[[_CD_AMP_IDX[j] for j in support]] = rng.uniform(0.1, 1.0, size=size)
+                amp[4] *= np.exp(1j * phase)
+                aligned.append(amp)
+    noisy = [_sample_type_batch(k, 20, rng)
+             + 10.0 ** rng.uniform(-12.0, -3.0, size=(20, 1)) * _haar_amps(20, rng)
+             for k in TYPE_KINDS]
+    return np.concatenate([normalize_rows(np.concatenate(typed + [np.array(aligned)] + noisy)),
+                           [s.amp for s in _ANCHORS]])
+
+
+# sha256 of decompose_rows' lambdas, phi, branch and degenerate and of the
+# classify_rows labels over _digest_rows, taken before the one-row path of
+# decompose_rows and classify was trimmed; re-pinned when the slice
+# discriminant took invariants' arithmetic: lambdas moved on 105 of 820 rows
+# by at most 7.5e-8 and phi on 52 by at most 1.4e-5; every move beyond 1e-10
+# is on a row with a canonical coefficient below 5e-5, where the roots or
+# phi are ill-conditioned; branch, degenerate and every label are unchanged
+DECOMPOSE_DIGEST = "8d35542fb26a0a124587100d3c597ddc708f03fc4826ce3e2789cabc944d5a61"
+
+
+def test_decompositions_and_labels_match_their_golden_digest():
+    amps = _digest_rows()
+    cd = decompose_rows(amps)
+    h = hashlib.sha256()
+    for name in ("lambdas", "phi", "branch", "degenerate"):
+        h.update(getattr(cd, name).tobytes())
+    for labels in classify_rows(amps):
+        h.update(" ".join(labels).encode())
+    assert h.hexdigest() == DECOMPOSE_DIGEST
+
+
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(st.lists(_amp_row(), min_size=1, max_size=8))
 def test_batch_rows_equal_their_one_row_calls(rows):
@@ -243,13 +292,13 @@ def test_batch_rows_equal_their_one_row_calls(rows):
 
 def test_classify_then_decompose_runs_one_decomposition(monkeypatch):
     calls = []
-    batch = canonical.decompose_rows
+    kernel = canonical._decompose
 
     def counted(amps):
         calls.append(len(amps))
-        return batch(amps)
+        return kernel(amps)
 
-    monkeypatch.setattr(canonical, "decompose_rows", counted)
+    monkeypatch.setattr(canonical, "_decompose", counted)
     s = haar_state(np.random.default_rng(61))
     assert classify(s).kind == "5"
     cf = canonical_decompose(s)
@@ -263,6 +312,81 @@ def test_off_norm_rows_raise_bad_normalization():
     for call in (decompose_rows, classify_rows):
         with pytest.raises(BadNormalization, match="^state norm 1.000000001"):
             call(rows)
+
+
+def _hostile_inputs() -> dict:
+    """Amplitude inputs that no entry point may answer with anything but a
+    result or a TriqentError."""
+    base = np.array([ghz().amp, w_state().amp])
+    cases = {}
+    for name, bad in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf),
+                      ("nan-imag", complex(0.0, np.nan))):
+        rows = base.copy()
+        rows[1, 3] = bad
+        cases[name] = rows
+    cases.update({
+        "zero-row": np.array([ghz().amp, np.zeros(8)]),
+        "off-norm": base * (1.0 + 1e-9),
+        "huge": base * 1e300,
+        "tiny": base * 1e-300,
+        "empty": np.zeros((0, 8)),
+        "wrong-width": base[:, :7],
+        "one-axis": base[0],
+        "three-axis": base[:, :, None],
+        "scalar": 1.0,
+        "ragged": [list(base[0]), [1.0]],
+        "text": [["a"] * 8],
+        "none": None,
+        "objects": np.array([[object()] * 8]),
+    })
+    return cases
+
+
+_HOSTILE = _hostile_inputs()
+_ENTRY_CALLS = {
+    "decompose_rows": decompose_rows,
+    "classify_rows": classify_rows,
+    "normalize_rows": normalize_rows,
+    # a one-row entry gets the input's last row, or the input itself
+    "normalize": lambda x: normalize(x[-1] if isinstance(x, np.ndarray) and x.ndim == 2
+                                     and len(x) else x),
+    "classify": classify,
+    "canonical_decompose": canonical_decompose,
+}
+
+
+def _only_triqent_errors(call):
+    """Run call: it may return or raise a TriqentError, nothing else, and may
+    not warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call()
+        except TriqentError:
+            pass
+
+
+@pytest.mark.parametrize("case", _HOSTILE)
+@pytest.mark.parametrize("entry", _ENTRY_CALLS)
+def test_hostile_amplitudes_raise_only_triqent_errors(entry, case):
+    _only_triqent_errors(lambda: _ENTRY_CALLS[entry](_HOSTILE[case]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 0.0, "x", None, 1j])
+def test_hostile_tolerances_raise_only_triqent_errors(bad):
+    for call in (lambda: classify(ghz(), tol=bad), lambda: classify(ghz(), cd_tol=bad),
+                 lambda: classify_rows([ghz().amp], tol=bad),
+                 lambda: classify_rows([ghz().amp], cd_tol=bad)):
+        _only_triqent_errors(call)
+
+
+@pytest.mark.parametrize("t,seed", [("6", 0), ("", 0), ("3b-", 0), (None, 0), (5, 0), (["5"], 0),
+                                    ("5", -1), ("5", 1.5), ("5", "x"), ("5", [0, -2])])
+def test_hostile_sample_type_calls_raise_triqent_errors(t, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TriqentError):
+            sample_type(t, seed)
 
 
 def test_determinant_residual_names_the_first_bad_row(monkeypatch):

@@ -232,6 +232,34 @@ def test_closed_tangles_stay_finite_where_g_to_the_fourth_overflows():
     assert closed_form_tangle("tfim", 1, 1e80) == pytest.approx(4.0 / 3.0 * 1e-80, rel=1e-12)
 
 
+@pytest.mark.parametrize("name,n,p", [("tfim", 2, 1), ("xzx", 5, 1), ("tfim", 5, 3), ("xzx", 4, 3)])
+def test_closed_tangles_follow_their_power_law_at_large_coupling(name, n, p):
+    # f = (2b + d + 1) / (b + d)^2 or (2a + d - 1) / (a + d)^2 tends to
+    # 3 / (4 d) without cancellation, so tau tends to 4 / (3 d) on the p = 1
+    # levels and 1 / (4 d^3) on the p = 3 levels, with a relative correction
+    # of at most 1.5 / d; it never goes negative, and where the law drops
+    # below the normal floats only tau >= 0 is checked
+    d = np.logspace(5, 150, 2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tau = _level_tangles(name, n, d, None)
+    assert (tau >= 0.0).all()
+    law = 4.0 / 3.0 / d if p == 1 else 0.25 / d / d / d
+    normal = law >= np.finfo(float).tiny
+    assert normal[:1300].all()
+    ratio = tau[normal] / law[normal]
+    assert (np.abs(ratio - 1.0) <= 2.0 / d[normal] + 1e-14).all()
+
+
+def test_a_coupling_beyond_the_float_range_is_out_of_domain():
+    huge = 10 ** 400
+    calls = (lambda: closed_form_spectrum("tfim", huge), lambda: chains.ChainModel("tfim", huge),
+             lambda: build_hamiltonian("tfim", [0.5, huge]), lambda: sweep("tfim", [0.5, huge]))
+    for call in calls:
+        with pytest.raises(OutOfDomain, match="finite delta"):
+            call()
+
+
 def test_merge_levels_sorts_and_fuses():
     merged = merge_levels(closed_form_spectrum("tfim", 1.0))
     assert sum(m for _, m in merged) == 8

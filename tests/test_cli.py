@@ -337,9 +337,11 @@ def test_verify_json_rows_have_the_expected_fields(capsys):
 GOLDEN = {
     # re-pinned when every tau was clipped at 1: level 1 at delta = 0 moved
     # from tau_numeric 1.0000000000000007 and tau_closed 1.0000000000000004
-    # to 1 (one row each, by 6.7e-16 and 4.4e-16)
+    # to 1 (one row each, by 6.7e-16 and 4.4e-16); re-pinned when f of levels
+    # 2 and 5 became cancellation-free (tau_numeric on 33 rows and tau_closed
+    # on 34 by at most 7.8e-16, r_a, r_b and r_c on 25 rows by at most 4.4e-16)
     "sweep --model tfim --delta-min 0 --delta-max 2.5 --points 26 --seed 0":
-        "6741422a0f51c0aa30a000fa013e0c16c13faa147050250d05866c28fa33119e",
+        "290048067676911d709db924ca1dfbd4c891406108eaffaea121e9ee93bba9f9",
     "sweep --model xx --delta-min 0 --delta-max 3.5 --points 26 --seed 0":
         "b901b7e68091c5a10902b6cd5c6e2a18718982848f8f22955a85a1bcd4fefb9e",
     # re-pinned when the sweep read every grid point in one invariants call
@@ -348,9 +350,12 @@ GOLDEN = {
     "sweep --model xxx --delta-min -2 --delta-max 2 --points 26 --seed 0":
         "b597494fe7124737d607bd6f57db999d2bafb57bb16e38bee7e6f94c92a8462f",
     # re-pinned for the clip at 1, as the tfim sweep above (level 0 at
-    # delta = 0, one row each in tau_numeric and tau_closed)
+    # delta = 0, one row each in tau_numeric and tau_closed), and for the
+    # cancellation-free f of levels 4 and 5 (tau_numeric on 35 rows and
+    # tau_closed on 34 by at most 7.8e-16, r_a, r_b and r_c on 21 rows by at
+    # most 5.6e-16)
     "sweep --model xzx --delta-min 0 --delta-max 2.5 --points 26 --seed 0":
-        "a4fa72d97619e2670bb8f95fd1767d6d9ceabe280b87663ee8af67559c5963c4",
+        "7fbdba43864a45105c5828a07c935f58629f948b2738624186bb88d47812cad3",
     # re-pinned for the one invariants call and 4 hypot(Hdet) (r_a, r_b, r_c
     # on 83-90 rows and tau_numeric on 1,115 rows, each by at most 2.2e-16)
     # and for b * b in place of b ** 2 in the closed xxx tangles (tau_closed
@@ -390,18 +395,22 @@ GOLDEN = {
     "sweep --model xxx --delta-min -2 --delta-max 2 --points 26 --params-policy mc --seed 5 "
     "--format text":
         "93441170f2ce8655221655b554aab4a9063a41bfea765e670d6e5df6744b425f",
+    # both re-pinned for the cancellation-free f, as the CSV tfim sweep above
     "sweep --model tfim --delta-min 0 --delta-max 2.5 --points 26 --seed 0 --format json":
-        "69b76448b94e15ee8c37749a5bb879081653a85cc2f028fc2c060b9d84f4c052",
+        "8d39f78044298e64dee6f982aa18a0e660e4894a930fd5e195e9a9c2397e94ef",
     "sweep --model tfim --delta-min 0 --delta-max 2.5 --points 26 --seed 0 --format text":
-        "859188856eaf431926ececf4c19c85e9a27ba18f9070b69ad1f055660540df16",
+        "3f956b05771426c493f35c3c11451f779bcc68dda2f010fc54c34aaf3dd4da07",
     "verify --check sweep-determinism --check chain-spectra --format csv":
         "67be41ba7bf3e4de5c075b85b24ccb231f0e858aee72a9744f17d8e4091f7b39",
     # the whole battery, taken before normalize and the local unitaries were
     # batched and the per-state verify loops became batches; re-pinned when the
     # Haar unitaries became a closed form and the local unitaries an einsum
-    # (two detail lines moved)
+    # (two detail lines moved); re-pinned when the slice discriminant took
+    # invariants' arithmetic (cd-structure det residual 7.5e-17 -> 6.9e-17,
+    # cd-roundtrip branch split 1.0e-15 -> 8.3e-16) and the chain f became
+    # cancellation-free (chain-eigenstates residual 2.3e-15 -> 1.2e-15)
     "verify --seed 0":
-        "b1feca1fbd2c3f0aae73b632ff888f738e371cafd8d7e4cda69fabc5bce6c18b",
+        "67adb2f618cffb7263526c4f563259e2a356d340f7171aa9b1fc3c64ed3a6ad2",
 }
 
 

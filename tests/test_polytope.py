@@ -18,6 +18,7 @@ from triqent import (
     BlochTriple,
     BoundCurve,
     CanonicalForm,
+    ChainModel,
     ComplexTau,
     OutOfDomain,
     Region,
@@ -32,9 +33,11 @@ from triqent import (
     big_r_from_cf,
     bloch_triple,
     bound_curve,
+    build_hamiltonian,
     canonical_decompose,
     classify_rows,
     closed_form_eigenstate,
+    closed_form_spectrum,
     closed_form_tangle,
     decompose_rows,
     degenerate_bloch_family,
@@ -489,6 +492,11 @@ _BAD_SHAPE_CALLS = [
     ("sweep/grid-scalar", lambda: sweep("tfim", 0.5)),
     ("sweep/grid-two-axis", lambda: sweep("tfim", [[0.5]])),
     ("sweep/grid-text", lambda: sweep("tfim", ["a"])),
+    # a Python int beyond the float range is a coupling out of the domain
+    ("closed_form_spectrum/int-overflow", lambda: closed_form_spectrum("tfim", 10 ** 400)),
+    ("ChainModel/int-overflow", lambda: ChainModel("tfim", 10 ** 400)),
+    ("build_hamiltonian/int-overflow", lambda: build_hamiltonian("tfim", [0.5, 10 ** 400])),
+    ("sweep/int-overflow", lambda: sweep("tfim", [0.5, 10 ** 400])),
     # a level index is an integer, not a number that truncates to one
     ("closed_form_eigenstate/level-fraction", lambda: closed_form_eigenstate("tfim", 2.7, 0.5)),
     ("closed_form_eigenstate/level-none", lambda: closed_form_eigenstate("tfim", None, 0.5)),
