@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BadNormalization, NumericalError, ValidationError
 from .entanglement import _pencil, _tangles, invariants
-from .qstate import _CD_AMP_IDX, PureState3, SliceTensors, _amp_rows
+from .qstate import _CD_AMP_IDX, PureState3, SliceTensors, _amp_rows, _instance, _state
 
 # absolute tolerance under which a canonical coefficient counts as zero when
 # matching type patterns
@@ -226,6 +226,7 @@ def _branch_pairs(amps: np.ndarray):
 def det_zero_solutions(st: SliceTensors) -> DetZeroBranches:
     """Both unit pairs (z, w) with det(z T0 + w T1) = 0, in a fixed order:
     the pairs of the one row (T0, T1) of decompose_rows (see _branch_pairs)."""
+    st = _instance(st, SliceTensors)
     row = np.concatenate([np.ravel(st.T0), np.ravel(st.T1)])
     cd = decompose_rows(row[None])
     plus, minus = ((z.real, complex(w)) for z, w in cd.pairs[0].tolist())
@@ -287,13 +288,6 @@ def _decompose(amps: np.ndarray) -> CanonicalRows:
                          degenerate=degenerate, pairs=pairs, branch_lambdas=lam)
 
 
-def _state(s) -> PureState3:
-    """s, which must be a PureState3; ValidationError otherwise."""
-    if not isinstance(s, PureState3):
-        raise ValidationError(f"expected a PureState3, got {type(s).__name__}")
-    return s
-
-
 def canonical_decompose(s: PureState3) -> CanonicalForm:
     """Canonical form of a state: its row of decompose_rows, computed once
     per state (PureState3.canonical)."""
@@ -311,6 +305,7 @@ def _canonical_amps(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def reconstruct(cf: CanonicalForm) -> PureState3:
     """State with the canonical amplitude pattern of cf."""
+    cf = _instance(cf, CanonicalForm)
     return PureState3(_canonical_amps(np.array([cf.lambdas]), np.array([cf.phi]))[0])
 
 

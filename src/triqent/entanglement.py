@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, OutOfRange, ValidationError
-from .qstate import QUBITS, PureState3
+from .qstate import QUBITS, PureState3, _qubit, _state
 
 PAIRS = ("AB", "AC", "BC")
 
@@ -51,10 +51,8 @@ class BlochTriple:
 
 def reduce_one(s: PureState3, qubit: str) -> Qubit1Density:
     """Partial trace down to the named qubit."""
-    if qubit not in _REDUCE_SPEC:
-        raise ValidationError(f"qubit must be one of A, B, C, got {qubit!r}")
-    t = s.tensor
-    rho = np.einsum(_REDUCE_SPEC[qubit], t, t.conj())
+    t = _state(s).tensor
+    rho = np.einsum(_REDUCE_SPEC[_qubit(qubit, "qubit")], t, t.conj())
     bloch = np.array(
         [
             2.0 * rho[0, 1].real,
@@ -66,7 +64,7 @@ def reduce_one(s: PureState3, qubit: str) -> Qubit1Density:
 
 
 def bloch_triple(s: PureState3) -> BlochTriple:
-    return BlochTriple(*map(float, s.invariants[0]))
+    return BlochTriple(*map(float, _state(s).invariants[0]))
 
 
 def entropy_from_norm(r: float, bits: bool = False) -> float:
@@ -89,9 +87,7 @@ def entropy_from_norm(r: float, bits: bool = False) -> float:
 
 def concurrence_one_vs_rest(s: PureState3, qubit: str) -> float:
     """Concurrence of one qubit against the other two: sqrt(1 - r^2)."""
-    if qubit not in QUBITS:
-        raise ValidationError(f"qubit must be one of {QUBITS}, got {qubit!r}")
-    r = float(s.invariants[0][QUBITS.index(qubit)])
+    r = float(_state(s).invariants[0][QUBITS.index(_qubit(qubit, "qubit"))])
     return float(np.sqrt(max(0.0, 1.0 - r * r)))
 
 
@@ -103,9 +99,9 @@ def _pair_rho(amps: np.ndarray, pair: str) -> np.ndarray:
 
 def concurrence_pair(s: PureState3, pair: str) -> float:
     """Wootters concurrence of a two-qubit marginal (see invariants)."""
-    if pair not in PAIRS:
+    if not (isinstance(pair, str) and pair in PAIRS):
         raise ValidationError(f"pair must be one of {PAIRS}, got {pair!r}")
-    return float(s.invariants[1][PAIRS.index(pair)])
+    return float(_state(s).invariants[1][PAIRS.index(pair)])
 
 
 def hyperdeterminant(s: PureState3) -> complex:
@@ -116,7 +112,7 @@ def hyperdeterminant(s: PureState3) -> complex:
     local-unitary invariants such as the Bloch norms can give |Hdet| (the
     tangle), but not its phase.
     """
-    return s.invariants[2]
+    return _state(s).invariants[2]
 
 
 # how far above 1 a tangle may land before it is an error, not rounding: a
@@ -132,7 +128,7 @@ def tangle(s: PureState3, check: bool = True) -> float:
     With check=True (default) the unclipped value is cross-validated by
     check_monogamy. One row of _tangles.
     """
-    r, c, hdet = s.invariants
+    r, c, hdet = _state(s).invariants
     return float(_tangles(np.array([hdet]), *((r[None], c[None]) if check else ()))[0])
 
 

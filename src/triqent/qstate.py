@@ -104,11 +104,8 @@ class LocalUnitary:
     target: str
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=complex).reshape(2, 2).copy()
-        u.flags.writeable = False
-        object.__setattr__(self, "u", u)
-        if self.target not in QUBITS:
-            raise ValidationError(f"target must be one of {QUBITS}, got {self.target!r}")
+        object.__setattr__(self, "u", _matrix2(self.u, "a local unitary"))
+        _qubit(self.target, "target")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +118,44 @@ class SliceTensors:
     T0: np.ndarray
     T1: np.ndarray
     qubit: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "T0", _matrix2(self.T0, "a slice"))
+        object.__setattr__(self, "T1", _matrix2(self.T1, "a slice"))
+        _qubit(self.qubit, "qubit")
+
+
+def _matrix2(raw, what: str) -> np.ndarray:
+    """raw as a new read-only 2x2 complex array; ValidationError unless it
+    holds 4 complex numbers."""
+    try:
+        arr = np.array(raw, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.size != 4:
+        raise ValidationError(f"{what} must be a 2x2 complex matrix")
+    arr = arr.reshape(2, 2)
+    arr.flags.writeable = False
+    return arr
+
+
+def _qubit(q, what: str) -> str:
+    """q, which must name one of QUBITS; ValidationError otherwise."""
+    if not (isinstance(q, str) and q in QUBITS):
+        raise ValidationError(f"{what} must be one of {QUBITS}, got {q!r}")
+    return q
+
+
+def _instance(x, cls):
+    """x, which must be a cls; ValidationError otherwise."""
+    if not isinstance(x, cls):
+        raise ValidationError(f"expected a {cls.__name__}, got {type(x).__name__}")
+    return x
+
+
+def _state(s) -> PureState3:
+    """s, which must be a PureState3; ValidationError otherwise."""
+    return _instance(s, PureState3)
 
 
 def _check_norms(amps: np.ndarray) -> None:
@@ -241,23 +276,20 @@ def _apply_local_rows(amps: np.ndarray, u: np.ndarray, target: str) -> np.ndarra
 def apply_local_unitary(s: PureState3, lu: LocalUnitary) -> PureState3:
     """Apply a single-qubit unitary, one row of _apply_local_rows; all
     entanglement invariants are preserved."""
-    return PureState3(_apply_local_rows(s.amp[None], lu.u[None], lu.target)[0])
+    lu = _instance(lu, LocalUnitary)
+    return PureState3(_apply_local_rows(_state(s).amp[None], lu.u[None], lu.target)[0])
 
 
 def slice_state(s: PureState3, qubit: str) -> SliceTensors:
     """Pull out the chosen qubit's index: T0 and T1 are the two 2x2 slices."""
-    if qubit not in QUBITS:
-        raise ValidationError(f"qubit must be one of {QUBITS}, got {qubit!r}")
-    t = s.tensor
-    ax = _AXIS[qubit]
-    T0 = np.take(t, 0, axis=ax)
-    T1 = np.take(t, 1, axis=ax)
-    return SliceTensors(T0=T0, T1=T1, qubit=qubit)
+    t = _state(s).tensor
+    ax = _AXIS[_qubit(qubit, "qubit")]
+    return SliceTensors(T0=np.take(t, 0, axis=ax), T1=np.take(t, 1, axis=ax), qubit=qubit)
 
 
 def reassemble(st: SliceTensors) -> PureState3:
     """Inverse of slice_state, bit-exact."""
-    ax = _AXIS[st.qubit]
+    ax = _AXIS[_instance(st, SliceTensors).qubit]
     t = np.stack([st.T0, st.T1], axis=ax)
     return PureState3(t.reshape(8))
 
@@ -387,21 +419,10 @@ def _draw_lambdas(support, n: int, rng: np.random.Generator,
 
 
 def sample_type(t: str, seed) -> PureState3:
-    """A random state of the requested entanglement type.
-
-    One row of _sample_type_batch, normalized, checked to classify back to
-    the requested type (coarse ids accept their refined sub-kinds) and
-    redrawn from the same generator if it does not.
-    """
-    from .canonical import classify
-
-    rng = _generator(seed)
-    for _ in range(100):
-        out = normalize(_sample_type_batch(t, 1, rng)[0])
-        got = classify(out).kind
-        if got == t or got.startswith(t + "-"):
-            return out
-    raise NumericalError(f"could not produce a state classifying as {t!r}")
+    """A random state of the requested entanglement type: one row of
+    _sample_type_batch, normalized, so its coefficients carry the margins
+    stated there. seed may be an int or a Generator."""
+    return normalize(_sample_type_batch(t, 1, seed)[0])
 
 
 def _sample_type_batch(t: str, n: int, seed) -> np.ndarray:
@@ -412,6 +433,31 @@ def _sample_type_batch(t: str, n: int, seed) -> np.ndarray:
     ids with several), a phase uniform on [0, pi] when l1 is active, then
     three independent Haar-random local unitaries. seed may be an int or a
     Generator.
+
+    The type holds by construction, with these margins against classify's
+    tol = cd_tol = 1e-9:
+    - every active coefficient of the draw is at least 1e-2. The draw is
+      one of the row's canonical forms (a W type, 3a or 4a, has only one),
+      and classify reads the one with the larger l0, so that l0 is at least
+      1e-2 too. Its active l2, l3 and l4 are at least 1e-4, since l0^2 lj^2
+      (j = 2, 3, 4) are local-unitary invariants (Acin et al., J. Phys. A 34,
+      6725 (2001)) and l0 <= 1; so is an active l1 where l2 l3 = 0, since
+      l1 l4 is then invariant too. A zero of the draw is zero on both forms
+      but for l1 of 4c, which is drawn with l0^2 >= 1/2 (see the comment
+      below). At the tie l0^2 -> 1/2 the other form's l1 shrinks with the l0
+      gap, so where the 1e-12 tie-break may pick that form, its l1 is far
+      below cd_tol;
+    - a GHZ type has tau = 4 l0^2 l4^2 >= 4e-8; every other type has
+      l0 l4 = 0, so tau = 0;
+    - a qubit that is not split off has 1 - r^2 >= 4e-8: 1 - r_A^2 is
+      4 l0^2 (l2^2 + l3^2 + l4^2), 1 - r_B^2 is at least 4 l0^2 (l3^2 +
+      l4^2) and 1 - r_C^2 at least 4 l0^2 (l2^2 + l4^2), or 4 l1^2 l4^2
+      where l0 = 0.
+    Two readings have no margin. The other form of a type-5 draw has l1 = 0
+    where it is a 4c form, a set of measure zero. And the zeros of l1 and l4
+    of a W type are read through the decomposition's double-root cutoff,
+    which misses on about 6 in a million 3a rows: their l1 reads above
+    cd_tol and they classify as 4a.
     """
     if not isinstance(t, str) or t not in _TYPE_SUPPORTS:
         raise UnknownType(f"unknown entanglement type {t!r}")

@@ -20,13 +20,16 @@ from triqent import (
     CanonicalForm,
     ChainModel,
     ComplexTau,
+    LocalUnitary,
     OutOfDomain,
     Region,
+    SliceTensors,
     SuperpositionParams,
     TriqentError,
     UnknownRegion,
     UnknownType,
     UnsupportedType,
+    apply_local_unitary,
     ValidationError,
     ansatz_tau,
     big_r,
@@ -39,16 +42,24 @@ from triqent import (
     closed_form_eigenstate,
     closed_form_spectrum,
     closed_form_tangle,
+    concurrence_one_vs_rest,
+    concurrence_pair,
     decompose_rows,
     degenerate_bloch_family,
+    det_zero_solutions,
     dist_to_diagonal,
     f_lowest_order,
+    hyperdeterminant,
     in_stratum,
     lambda3_star,
     membership,
     normalize_rows,
+    reassemble,
     reconstruct,
+    reduce_one,
+    slice_state,
     sweep,
+    tangle,
     tau_surface,
 )
 from triqent.entanglement import invariants
@@ -506,6 +517,27 @@ _BAD_SHAPE_CALLS = [
      lambda: degenerate_bloch_family("xx", 4.5, _MEMBER)),
     ("degenerate_bloch_family/level-none", lambda: degenerate_bloch_family("xx", None, _MEMBER)),
     ("degenerate_bloch_family/level-text", lambda: degenerate_bloch_family("xx", "x", _MEMBER)),
+    # an operand of the wrong kind: a state, unitary, slice pair or canonical
+    # form is checked before it is read
+    ("tangle/non-state", lambda: tangle("x")),
+    ("bloch_triple/non-state", lambda: bloch_triple("x")),
+    ("hyperdeterminant/non-state", lambda: hyperdeterminant(_AMPS[0])),
+    ("concurrence_pair/non-state", lambda: concurrence_pair("x", "AB")),
+    ("concurrence_one_vs_rest/non-state", lambda: concurrence_one_vs_rest(None, "A")),
+    ("reduce_one/non-state", lambda: reduce_one("x", "A")),
+    ("reduce_one/qubit-list", lambda: reduce_one(ghz(), ["A"])),
+    ("slice_state/non-state", lambda: slice_state("x", "A")),
+    ("apply_local_unitary/non-state",
+     lambda: apply_local_unitary("x", LocalUnitary(np.eye(2), "A"))),
+    ("apply_local_unitary/non-unitary", lambda: apply_local_unitary(ghz(), "x")),
+    ("LocalUnitary/three-by-three", lambda: LocalUnitary(np.eye(3), "A")),
+    ("LocalUnitary/text", lambda: LocalUnitary("x", "A")),
+    ("LocalUnitary/target-array", lambda: LocalUnitary(np.eye(2), np.array(["A", "B"]))),
+    ("reassemble/non-slices", lambda: reassemble("x")),
+    ("SliceTensors/three-by-three", lambda: SliceTensors(np.eye(3), np.eye(2), "A")),
+    ("SliceTensors/qubit", lambda: SliceTensors(np.eye(2), np.eye(2), "Q")),
+    ("det_zero_solutions/non-slices", lambda: det_zero_solutions("x")),
+    ("reconstruct/non-form", lambda: reconstruct("x")),
 ]
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conftest import ghz, haar_state, ket
 from triqent import (
     QUBITS,
     TYPE_IDS,
+    ZERO_TOL,
     BadNormalization,
     LocalUnitary,
     NonUnitary,
@@ -20,9 +22,11 @@ from triqent import (
     ZeroVector,
     apply_local_unitary,
     bloch_triple,
+    canonical,
     classify,
     classify_rows,
     concurrence_pair,
+    decompose_rows,
     normalize,
     normalize_rows,
     reassemble,
@@ -31,9 +35,13 @@ from triqent import (
     slice_state,
     tangle,
 )
+from triqent.entanglement import _tangles, invariants
 from triqent.qstate import (
+    _CD_AMP_IDX,
+    _TYPE_SUPPORTS,
     NORM_TOL,
     _apply_local_rows,
+    _apply_rows,
     _check_norms,
     _haar_amps,
     _haar_u2,
@@ -347,6 +355,142 @@ def test_batch_rows_classify_as_their_type():
     for i, t in enumerate(TYPE_IDS):
         for got in classify_rows(_sample_type_batch(t, 500, 900 + i))[1]:
             assert got == t or got.startswith(t + "-"), (t, got)
+
+
+def test_sample_type_is_one_normalized_batch_row():
+    for i, t in enumerate(TYPE_IDS):
+        for seed in (i, 1000 + i, 2 ** 32 - 1 - i):
+            want = normalize(_sample_type_batch(t, 1, seed)[0]).amp
+            assert np.array_equal(_bits(sample_type(t, seed).amp), _bits(want))
+
+
+# sha256 of sample_type(t, seed) for each of TYPE_IDS and seeds 0-199, taken
+# while sample_type still classified each draw and redrew on a mismatch
+SAMPLE_TYPE_DIGEST = "84341705a8cdb749e59314662f1c36bf5569c85d8e883c9b49cf77e9734e829c"
+
+
+def test_sample_type_draws_match_their_golden_digest():
+    h = hashlib.sha256()
+    for t in TYPE_IDS:
+        for seed in range(200):
+            h.update(sample_type(t, seed).amp.tobytes())
+    assert h.hexdigest() == SAMPLE_TYPE_DIGEST
+
+
+def test_sample_type_never_classifies(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_type called the classifier")
+
+    monkeypatch.setattr(canonical, "classify", refuse)
+    monkeypatch.setattr(canonical, "_decompose", refuse)
+    for i, t in enumerate(TYPE_IDS):
+        assert isinstance(sample_type(t, 500 + i), PureState3)
+
+
+# the margins _sample_type_batch states, against classify's defaults
+_TOL = 1e-9
+_SPLIT_QUBITS = {"1": 3, "2a": 1}  # qubits with a pure marginal, by type
+_TAU_ZERO_TYPES = ("1", "2a", "3a", "4a")  # l0 l4 = 0
+# what a bound on a squared coefficient product may lose to rounding
+_ROUNDING = 1e-14
+
+
+def _decades(small: float, large: float) -> float:
+    """How many decades large lies above small."""
+    return math.log10(large / small) if small > 0.0 else math.inf
+
+
+@pytest.mark.parametrize("t", TYPE_IDS)
+def test_batch_rows_keep_their_stated_margins(t):
+    amps = _sample_type_batch(t, 20_000, 300 + TYPE_IDS.index(t))
+    r, _, hdet = invariants(amps)
+    tau = _tangles(hdet)
+    if t in _TAU_ZERO_TYPES:
+        top = float(tau.max())
+        assert top < _TOL, f"tau up to {top:.3e}, {_decades(top, _TOL):.2f} decades below tol"
+    else:
+        low = float(tau.min())
+        assert low >= 4e-8 - _ROUNDING, \
+            f"tau down to {low:.3e}, {_decades(_TOL, low):.2f} decades above tol"
+    # 1 - r^2 per qubit, the split-off qubits first
+    mixed = np.sort(1.0 - r * r, axis=1)[:, _SPLIT_QUBITS.get(t, 0):]
+    low = float(mixed.min(initial=1.0))
+    assert low >= 4e-8 - _ROUNDING, \
+        f"1 - r^2 down to {low:.3e}, {_decades(2.0 * _TOL, low):.2f} decades above tol"
+    if t in _SPLIT_QUBITS:
+        return  # classify reads no coefficient of these rows
+    cd = decompose_rows(amps)
+    lam = cd.lambdas
+    if t in ("3a", "4a"):
+        # a W type has one form; its zeros are read through the double-root
+        # snap, which has no margin
+        on = np.zeros_like(lam, dtype=bool)
+        on[:, list(_TYPE_SUPPORTS[t][0])] = True
+    else:
+        on = lam >= ZERO_TOL
+        patterns = {tuple(row.nonzero()[0]) for row in on}
+        assert patterns <= set(_TYPE_SUPPORTS[t]), patterns
+    # the draw is one of the two forms, every active coefficient >= 1e-2
+    drawn = np.where(on[:, None], cd.branch_lambdas, 1.0).min(axis=2).max(axis=1)
+    assert drawn.min() >= 1e-2 - _ROUNDING, f"a drawn coefficient down to {drawn.min():.3e}"
+    # the form classify reads: l0 >= 1e-2, l1 (but on type 5) to l4 >= 1e-4
+    bound = np.array([1e-2, 0.0 if t == "5" else 1e-4, 1e-4, 1e-4, 1e-4])
+    low = np.where(on, lam, 1.0).min(axis=0)
+    assert (low >= bound - _ROUNDING).all(), (
+        f"read coefficients down to {low}, "
+        f"{_decades(ZERO_TOL, float(low.min())):.2f} decades above cd_tol")
+
+
+def _tie_rows(per: int, rng: np.random.Generator) -> np.ndarray:
+    """Scrambled 4c rows at the branch tie: l0^2 = 1/2 + eps for per rows at
+    each eps in logspace(-16, -3, 14), with l2, l3 and l4 in turn at the
+    1e-4 floor and the other two splitting the rest at random."""
+    eps = np.repeat(np.logspace(-16.0, -3.0, 14), per)
+    n = len(eps)
+    lam2 = np.zeros((3, n, 5))
+    lam2[..., 0] = 0.5 + eps
+    for i, slot in enumerate((2, 3, 4)):
+        lam2[i, :, slot] = 1e-4
+        rest = 1.0 - lam2[i].sum(axis=1)
+        split = rng.uniform(1e-4, rest - 1e-4)
+        a, b = (j for j in (2, 3, 4) if j != slot)
+        lam2[i, :, a], lam2[i, :, b] = split, rest - split
+    amp = np.zeros((8, 3 * n), dtype=complex)
+    amp[list(_CD_AMP_IDX)] = np.sqrt(lam2.reshape(-1, 5)).T
+    t3 = amp.reshape(2, 2, 2, -1)
+    for axis, u in enumerate(_haar_u2_batch(3 * n, rng)):
+        t3 = _apply_rows(t3, u, axis)
+    return normalize_rows(t3.reshape(8, -1).T)
+
+
+def test_4c_rows_at_the_branch_tie_classify_as_4c():
+    # as l0^2 -> 1/2 the two branches meet, and the other branch's l1 shrinks
+    # with the l0 gap: where the 1e-12 tie-break may pick it, its l1 is far
+    # below cd_tol
+    kinds = classify_rows(_tie_rows(80, np.random.default_rng(41)))[1]
+    assert len(kinds) == 3360
+    assert (kinds == "4c").all(), np.unique(kinds, return_counts=True)
+
+
+# row 5350 of _sample_type_batch("3a", 100_000, [2003, 1]): l1 and l4 are 0
+# by construction, but the pencil discriminant misses the double-root snap,
+# l1 reads 1.7e-8 and the row classifies as 4a; about 6 in a million 3a rows
+# do (ROADMAP item 2)
+_MISREAD_3A = np.array([complex(float.fromhex(re), float.fromhex(im)) for re, im in (
+    ("0x1.1cf146dd5a08cp-6", "0x1.b96ca30c3ef75p-3"),
+    ("-0x1.70d22618a23b3p-4", "-0x1.1896256a63dd8p-5"),
+    ("-0x1.6d5330eac282dp-1", "0x1.6fcf311d1aa54p-2"),
+    ("-0x1.04d9ef82ece24p-7", "-0x1.6c580a7fee194p-2"),
+    ("0x1.c3354198f3d64p-5", "0x1.9a493e02dd918p-7"),
+    ("0x1.735da77597b11p-4", "-0x1.374b4ac18b4efp-5"),
+    ("-0x1.655f79e5e11f6p-5", "0x1.45c2b9cedb3bap-3"),
+    ("0x1.287259b1c976ep-2", "0x1.e19688873c800p-3"),
+)])
+
+
+@pytest.mark.xfail(strict=True, reason="W-class zeros read at the double root (ROADMAP item 2)")
+def test_a_drawn_3a_row_classifies_as_3a():
+    assert classify_rows(_MISREAD_3A[None])[1][0] == "3a"
 
 
 # sha256 of _sample_type_batch(t, n, 40 + i) for the i-th of TYPE_IDS and n
