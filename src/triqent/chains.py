@@ -910,7 +910,10 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
         cols["n"] = np.tile(_EIGHT, len(grid))
         cols["energy_numeric"] = evals.reshape(-1)
         cols["energy_closed"] = cols["tau_closed"] = np.full(len(amps), np.nan)
-        group = np.abs(evals[:, :, None] - evals[:, None, :]) <= GAP_TOL
+        # levels of opposite sign near the float limit (perturb ~ 1e308) differ
+        # by more than a float holds, and an overflowed gap is no group either
+        with np.errstate(over="ignore"):
+            group = np.abs(evals[:, :, None] - evals[:, None, :]) <= GAP_TOL
         cols["multiplicity"] = group.sum(axis=2).reshape(-1)
     else:
         amps = _closed_grid(name, grid, energies, mults, evals, params_policy, int(seed), cols)

@@ -1,8 +1,11 @@
 """Command-line front end: analyze states, export tables, drive the chains.
 
 Every subcommand is deterministic for a fixed (arguments, seed) pair, so the
-emitted CSV/JSON files are stable byte for byte and safe to hash. Floats are
-printed with 17 significant digits to survive a parse round trip.
+emitted CSV/JSON files are stable byte for byte and safe to hash. A float cell
+is exactly CPython's %.17g (17 significant digits, correctly rounded half to
+even), so it survives a parse round trip; numpy writes the fixed-point ones in
+integer arithmetic, so the text of a value is the same on every CPU, while
+the values themselves come from numpy and BLAS kernels that can differ by CPU.
 """
 from __future__ import annotations
 
@@ -40,6 +43,33 @@ def _kind(t: type) -> str:
 
 _FORMAT = {"bool": lambda v: "1" if v else "0", "int": lambda v: str(int(v)), "str": str}
 
+# distinct values from which numpy's %.17g (triqent._fixed17) beats the
+# template: about 250 on sampler tables, 500 to 700 on sweep tables, whose
+# values split into more runs
+_VECTOR_MIN = 600
+
+
+def _template_cells(x: np.ndarray) -> np.ndarray:
+    """'%.17g' % v of each value through one template, as an object array."""
+    return np.array(("%.17g\n" * len(x) % tuple(x.tolist())).split("\n")[:-1], dtype=object)
+
+
+def _g17(x: np.ndarray) -> np.ndarray:
+    """'%.17g' % v of each value, as an object array: numpy writes the
+    fixed-point cells of a large table, and one template every other cell
+    (zero, the exponent form, inf and nan) and every cell of a small one."""
+    if len(x) < _VECTOR_MIN:
+        return _template_cells(x)
+    # imported on first use: a small table, and the CLI's start-up, need none
+    # of it
+    from ._fixed17 import fixed_cells
+    idx, fixed = fixed_cells(x)
+    rest = np.delete(np.arange(len(x)), idx)
+    cells = np.empty(len(x), dtype=object)
+    cells[idx] = fixed
+    cells[rest] = _template_cells(x[rest])
+    return cells
+
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
     """The cells of float values, as an object array: each distinct value
@@ -56,10 +86,9 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     distinct = x[order[start]]
     back = np.empty(len(x), dtype=np.intp)
     back[order] = np.cumsum(start) - 1
-    # one template formats every distinct value; an object array maps the
-    # cells back to the rows faster than a Python loop does
-    text = "%.17g\n" * len(distinct) % tuple(distinct.tolist())
-    cells = np.array(text.split("\n")[:-1], dtype=object)
+    # an object array maps the cells back to the rows faster than a Python
+    # loop does
+    cells = _g17(distinct)
     cells[~np.isfinite(distinct)] = ""
     return cells[back]
 
@@ -437,11 +466,13 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error:{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except TriqentError as exc:
+    except (TriqentError, OSError) as exc:
         print(f"error:{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error:{type(exc).__name__}: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        # a size too large to allocate; named as the builtin, not as numpy's
+        # private subclass of it
+        print(f"error:MemoryError: {exc}", file=sys.stderr)
         return 2
 
 

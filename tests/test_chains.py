@@ -663,6 +663,19 @@ def test_perturbed_sweep_drops_closed_columns():
     assert np.isfinite(table.tau_numeric).all()
 
 
+@pytest.mark.parametrize("perturb", [1e307, 1e308, -1e308, 1.7e308, -1.7e308])
+def test_a_probe_field_near_the_float_limit_sweeps_without_a_warning(perturb):
+    # the levels lie near +-perturb, so the gap between levels of opposite
+    # sign overflows a float; such a gap groups nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in MODELS:
+            table = sweep(name, [0.3, 0.8], perturb=perturb, seed=2)
+            assert len(table) == 16
+            assert ((table.multiplicity >= 1) & (table.multiplicity <= 4)).all()
+            assert ((table.tau_numeric >= 0.0) & (table.tau_numeric <= 1.0)).all()
+
+
 @pytest.mark.parametrize("name, grid", [
     pytest.param("tfim", np.linspace(0.0, 2.5, 26), id="tfim"),
     pytest.param("xzx", np.linspace(0.0, 2.5, 26), id="xzx"),

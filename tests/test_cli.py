@@ -10,13 +10,14 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triqent import chains, cli
+from triqent import _fixed17, chains, cli
 from triqent.cli import _columns, _record, _table, main
 from triqent.polytope import COARSE_TYPES
 
@@ -561,6 +562,87 @@ def test_tables_equal_a_naive_per_cell_writer(table):
     text = "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
                    for row in zip(*cols))
     assert _table(header, columns, "text") == text
+
+
+def _dyadic_ties(rng, per_scale: int) -> np.ndarray:
+    """Values j / 2**e (j odd) whose exact decimal has 18 significant digits
+    ending in 5, so %.17g rounds them half to even: they lie in
+    [10**(17 - e), 10**(18 - e)) for e = 2 to 21, below 2**(53 - e)."""
+    out = []
+    for e in range(2, 22):
+        lo, hi = -(-10 ** (17 - e) * 2 ** e // 1), min(10 ** (18 - e) * 2 ** e, 2 ** 53)
+        if lo < hi:
+            j = rng.integers(lo // 2, (hi - 1) // 2, per_scale) * 2 + 1
+            out.append(np.ldexp(j.astype(float), -e))
+    return np.concatenate(out)
+
+
+def test_float_cells_are_exactly_percent_17g():
+    rng = np.random.default_rng(2024)
+    # 10**6 random bit patterns of both signs: most with the exponent field
+    # over the fixed-point range of %.17g and two binades either side, the
+    # rest over every exponent (the exponent form is slow to write)
+    bits = rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
+    exponent = rng.integers(1007, 1082, 99 * 10 ** 4, dtype=np.uint64) << np.uint64(52)
+    bits[:99 * 10 ** 4] = bits[:99 * 10 ** 4] & ~np.uint64(0x7FF << 52) | exponent
+    powers = 10.0 ** np.arange(-5, 18)
+    ties = _dyadic_ties(rng, 50)
+    assert all(len(d) == 18 and d.endswith("5") for d in
+               (str(Decimal(v)).replace(".", "").strip("0") for v in ties.tolist()))
+    special = [2.0 ** 52 - 0.5, 2.0 ** 52 + 1, 2.0 ** 53, 2.0 ** 54 + 2, 99999999999999999.0,
+               2890202531796210.5, 1.0, 1e16, 0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan,
+               1e-4, 1e17]
+    edges = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                            ties, special])
+    values = np.concatenate([
+        bits.view(float), 10.0 ** rng.uniform(-6, 18, 2 * 10 ** 4) * rng.choice([-1.0, 1.0], 2 * 10 ** 4),
+        edges, -edges])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cells = cli._float_cells(values).tolist()
+    expect = ["%.17g" % v for v in values.tolist()]
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        expect[i] = ""
+    assert cells == expect
+    # the vectorised path takes every fixed-point edge value below 2**51,
+    # where its shift is a right shift, so the edges above did reach it
+    distinct = np.unique(np.concatenate([edges, -edges]).view(np.int64)).view(float)
+    a = np.abs(distinct)
+    assert (_fixed17.fixed_digits(distinct)[0] == np.flatnonzero((a >= 1e-4) & (a < 2.0 ** 51))).all()
+
+
+def test_float_cells_do_not_depend_on_the_size_cutoff(monkeypatch):
+    rng = np.random.default_rng(7)
+    values = np.concatenate([rng.normal(0.0, 3.0, 2 * cli._VECTOR_MIN),
+                             [0.0, -0.0, 1e-300, 1e300, np.nan, np.inf, 1.0, 0.5]])
+    expect = ["%.17g" % v if math.isfinite(v) else "" for v in values.tolist()]
+    # just below and at the cutoff, then every size on either path alone
+    for n in (cli._VECTOR_MIN - 1, cli._VECTOR_MIN):
+        assert cli._float_cells(values[-n:]).tolist() == expect[-n:]
+    for cutoff in (0, len(values) + 1):
+        monkeypatch.setattr(cli, "_VECTOR_MIN", cutoff)
+        for n in (1, 9, len(values)):
+            assert cli._float_cells(values[-n:]).tolist() == expect[-n:]
+
+
+@pytest.mark.parametrize("argv", [
+    "sample --n 1000000000000000",
+    "bounds --points 1000000000000000",
+    "sweep --model tfim --delta-min 0 --delta-max 1 --points 1000000000000000",
+])
+def test_a_size_too_large_to_allocate_is_a_usage_error(capsys, argv):
+    # 10**15 rows need more than a 47-bit address space, so the allocation
+    # fails at once
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error:MemoryError: ") and err.count("\n") == 1
+
+
+def test_a_probe_field_near_the_float_limit_prints_no_warning(capsys):
+    code, out, err = run(capsys, "sweep", "--model", "xx", "--delta-min", "0",
+                         "--delta-max", "1", "--points", "2", "--perturb", "1e308")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 17
 
 
 def test_the_package_runs_as_a_module():
