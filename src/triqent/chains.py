@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedType,
     ValidationError,
 )
-from .qstate import PureState3, _check_norms
+from .qstate import PureState3, _check_norms, _instance, _rows8, _state
 
 MODELS = ("tfim", "xx", "xxx", "xzx")
 
@@ -38,9 +38,6 @@ CROSSINGS = {
 }
 
 GAP_TOL = 1e-9
-
-# number of levels in each model's closed_form_spectrum listing
-LEVEL_COUNT = {"tfim": 6, "xx": 6, "xxx": 3, "xzx": 6}
 
 # a coupling window per model that contains all of its CROSSINGS
 DELTA_RANGES = {
@@ -61,7 +58,7 @@ _PAULI = {
 
 def pauli_string(s: str) -> np.ndarray:
     """Kronecker product of three single-site Pauli or identity factors."""
-    if len(s) != 3 or any(ch not in _PAULI for ch in s):
+    if not isinstance(s, str) or len(s) != 3 or any(ch not in _PAULI for ch in s):
         raise ValidationError(f"expected a 3-letter string over I/X/Y/Z, got {s!r}")
     return np.kron(np.kron(_PAULI[s[0]], _PAULI[s[1]]), _PAULI[s[2]])
 
@@ -128,32 +125,16 @@ def _check_model(name: str, deltas=()) -> None:
             raise OutOfDomain(f"{name} needs delta >= 0, got {d}")
 
 
-@dataclass(frozen=True)
-class ChainModel:
-    """A named 3-site chain at a fixed coupling delta."""
-
-    name: str
-    delta: float
-
-    def __post_init__(self):
-        _check_model(self.name, (self.delta,))
-
-    @property
-    def terms(self):
-        return _TERMS[self.name]
-
-
-def _as_model(model, delta) -> ChainModel:
-    if isinstance(model, ChainModel):
-        if delta is not None:
-            raise ValidationError("delta is already part of the model")
-        return model
+def _one_coupling(model, delta) -> tuple[str, float]:
+    """The model's name and delta as one float coupling in its domain."""
     if delta is None:
         raise ValidationError("delta is required when the model is given by name")
-    d = _couplings(str(model), delta)
+    name = str(model)
+    d = _couplings(name, delta)
     if d.ndim != 0:
         raise ValidationError(f"expected one coupling, got shape {d.shape}")
-    return ChainModel(str(model), float(d))
+    _check_model(name, (float(d),))
+    return name, float(d)
 
 
 def build_hamiltonian(model, delta=None) -> np.ndarray:
@@ -163,9 +144,8 @@ def build_hamiltonian(model, delta=None) -> np.ndarray:
     stack of their Hamiltonians, each summed term by term in the same order
     as a one-coupling call, so each matrix equals that call's bit for bit.
     """
-    if isinstance(model, ChainModel) or np.ndim(delta) == 0:
-        cm = _as_model(model, delta)
-        name, d = cm.name, cm.delta
+    if np.ndim(delta) == 0:
+        name, d = _one_coupling(model, delta)
     else:
         name = str(model)
         d = _couplings(name, delta)
@@ -192,7 +172,10 @@ def eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (P, 8, 8) eigenvectors from one solver call, each matrix's equal bit for
     bit to its one-matrix call.
     """
-    h = np.asarray(h, dtype=complex)
+    try:
+        h = np.asarray(h, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValidationError("expected an 8 x 8 matrix of complex numbers") from None
     if h.ndim not in (2, 3) or h.shape[-2:] != (8, 8):
         raise ValidationError(
             f"expected an 8 x 8 matrix or a (P, 8, 8) stack, got shape {h.shape}")
@@ -234,26 +217,25 @@ def _refuse_overflow(name: str, d, values) -> None:
             f"{name} closed form overflows at delta = {np.ravel(d)[~np.ravel(finite)][0]}")
 
 
+# each model's closed energies in listing order, from (d, a, b) of _ab
+_ENERGIES = {
+    "tfim": lambda d, a, b: (-d - 2 * b - 1, d - 2 * a - 1, -d + 2 * b - 1, 1 - d, d + 1,
+                             d + 2 * a - 1),
+    "xx": lambda d, a, b: (-d - 4, d - 4, -3 * d, 3 * d, 2 - d, 2 + d),
+    "xxx": lambda d, a, b: (3 * d, 4 - d, -d - 2),
+    "xzx": lambda d, a, b: (d - 2 * a - 1, -d - 2 * a + 1, -1 + d, 1 - d, d + 2 * a - 1,
+                            -d + 2 * a + 1),
+}
+
+
 def _energies(name: str, d) -> tuple[tuple, tuple[int, ...]]:
     """The closed energies of every level in listing order, and the generic
     multiplicities."""
     with np.errstate(over="ignore", invalid="ignore"):
         d, a, b = _ab(d)
-        if name == "tfim":
-            energies = (-d - 2 * b - 1, d - 2 * a - 1, -d + 2 * b - 1, 1 - d, d + 1, d + 2 * a - 1)
-            mults = (1, 1, 1, 2, 2, 1)
-        elif name == "xx":
-            energies = (-d - 4, d - 4, -3 * d, 3 * d, 2 - d, 2 + d)
-            mults = (1, 1, 1, 1, 2, 2)
-        elif name == "xxx":
-            energies = (3 * d, 4 - d, -d - 2)
-            mults = (2, 2, 4)
-        else:
-            energies = (d - 2 * a - 1, -d - 2 * a + 1, -1 + d, 1 - d, d + 2 * a - 1,
-                        -d + 2 * a + 1)
-            mults = (1, 1, 2, 2, 1, 1)
+        energies = _ENERGIES[name](d, a, b)
     _refuse_overflow(name, d, energies)
-    return energies, mults
+    return energies, _MULTS[name]
 
 
 def closed_form_spectrum(model, delta: float | None = None) -> list[tuple[float, int]]:
@@ -266,13 +248,22 @@ def closed_form_spectrum(model, delta: float | None = None) -> list[tuple[float,
     energies are the 0-d case of the formulas a sweep evaluates over its
     whole grid, so they equal that grid's bit for bit.
     """
-    cm = _as_model(model, delta)
-    energies, mults = _energies(cm.name, float(cm.delta))
+    name, d = _one_coupling(model, delta)
+    energies, mults = _energies(name, d)
     return [(float(e), m) for e, m in zip(energies, mults)]
 
 
 def merge_levels(levels, tol: float = GAP_TOL) -> list[tuple[float, int]]:
     """Ascending levels with coincident energies merged into one entry."""
+    try:
+        levels = [(e, m) for e, m in levels]
+    except (TypeError, ValueError):
+        raise ValidationError("levels must be (energy, multiplicity) pairs") from None
+    for e, m in levels:
+        if not (isinstance(e, numbers.Real) and _finite(e) and isinstance(m, numbers.Integral)
+                and m >= 1):
+            raise ValidationError(
+                f"a level is a finite energy and a positive integer multiplicity, got {(e, m)}")
     out: list[list] = []
     for e, m in sorted(levels, key=lambda em: em[0]):
         if out and abs(e - out[-1][0]) <= tol:
@@ -322,6 +313,10 @@ class SuperpositionParams:
     def __post_init__(self):
         if self.delta is not None and self.gamma is None:
             raise ValidationError("a four-component superposition also needs gamma")
+        coeffs = (self.alpha, self.beta, self.gamma, self.delta)[:self.n_components]
+        for f, v in zip(fields(self), coeffs):
+            if not isinstance(v, numbers.Complex) or not _finite(abs(v)):
+                raise ValidationError(f"{f.name} must be a finite number, got {v!r}")
         beta = self.beta
         if isinstance(beta, complex):
             if abs(beta.imag) > 1e-12:
@@ -330,10 +325,7 @@ class SuperpositionParams:
             object.__setattr__(self, "beta", beta)
         if beta < 0.0:
             raise ValidationError(f"beta must be non-negative, got {beta}")
-        total = abs(self.alpha) ** 2 + beta ** 2
-        for extra in (self.gamma, self.delta):
-            if extra is not None:
-                total += abs(extra) ** 2
+        total = sum((abs(v) ** 2 for v in coeffs[2:]), abs(self.alpha) ** 2 + beta ** 2)
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"superposition norm squared is {total}, not 1")
 
@@ -342,15 +334,9 @@ class SuperpositionParams:
         return 2 + (self.gamma is not None) + (self.delta is not None)
 
 
-def _require_components(k: int | None, needed: int, where: str):
-    if k != needed:
-        raise ValidationError(
-            f"{where} takes {needed}-component superposition params, got {k}")
-
-
 # degenerate levels: basis kets in listing order and the column of the member
 # coefficients (alpha, beta, gamma, delta) attached to each (conventions
-# differ between models)
+# differ between models); a level's multiplicity is the number of its kets
 _DEG_FAMILY = {
     ("tfim", 3): ((WT1_KET, WT2_KET), (0, 1)),
     ("tfim", 4): ((X3WT1_KET, X3WT2_KET), (0, 1)),
@@ -365,74 +351,59 @@ _DEG_FAMILY = {
 # the fused E = 0 subspace of the transverse-field chain at delta = 1
 _FUSED_FAMILY = ((_FUSED_KET, WT1_KET, WT2_KET), (2, 0, 1))
 
+# the f of the non-degenerate tfim and xzx levels, from (d, a, b) of _ab
+_F = (
+    lambda d, a, b: -1.0 + 2.0 * d + 2.0 * b,
+    lambda d, a, b: 2.0 * d + 2.0 * a + 1.0,
+    lambda d, a, b: (2.0 * b + d + 1.0) / ((b + d) * (b + d)),
+    lambda d, a, b: (2.0 * a + d - 1.0) / ((a + d) * (a + d)),
+)
+
+# non-degenerate tfim and xzx levels: the f of _F the level uses, the scale s
+# of its normalizer g = s sqrt(f^2 + 3), its eigenvector (c0 f ket0 + c1 ket1)
+# / g as ((c0, ket0), (c1, ket1)), and its tangle c f^p / g^4 as (c, p)
+_NONDEG = {
+    ("tfim", 0): (0, 1.0, ((1.0, _ket(0b000)), (_SQRT3, X3W_KET)), (16.0, 1)),
+    ("tfim", 1): (1, _SQRT3, ((_SQRT3, W_KET), (3.0, _ket(0b111))), (48.0, 3)),
+    ("tfim", 2): (2, 1.0, ((-1.0, _ket(0b000)), (_SQRT3, X3W_KET)), (16.0, 1)),
+    ("tfim", 5): (3, _SQRT3, ((-_SQRT3, W_KET), (3.0, _ket(0b111))), (48.0, 3)),
+    ("xzx", 0): (1, _SQRT3, ((-_SQRT3, W_KET), (3.0, _ket(0b111))), (48.0, 3)),
+    ("xzx", 1): (1, _SQRT3, ((_SQRT3, _ket(0b000)), (3.0, X3W_KET)), (144.0, 1)),
+    ("xzx", 4): (3, _SQRT3, ((_SQRT3, W_KET), (3.0, _ket(0b111))), (48.0, 3)),
+    ("xzx", 5): (3, 1.0, ((-1.0, _ket(0b000)), (_SQRT3, X3W_KET)), (16.0, 1)),
+}
+# the non-degenerate xx levels: fixed kets, of tangle 0
+_XX_KETS = {("xx", 0): W_KET, ("xx", 1): X3W_KET, ("xx", 2): _ket(0b000), ("xx", 3): _ket(0b111)}
+
+# each model's generic multiplicities in listing order, and so its level
+# count: 1 for a non-degenerate level, its basis size for a degenerate one
+_MULTS = {name: tuple(len(_DEG_FAMILY[key][0]) if key in _DEG_FAMILY else 1
+                      for key in sorted({*_DEG_FAMILY, *_NONDEG, *_XX_KETS}) if key[0] == name)
+          for name in MODELS}
+LEVEL_COUNT = {name: len(mults) for name, mults in _MULTS.items()}
+
 
 def _params_row(params: SuperpositionParams | None) -> np.ndarray | None:
     """The coefficients (alpha, beta, gamma, delta) of params as one (1, k)
     row of a member batch; None stays None."""
     if params is None:
         return None
+    params = _instance(params, SuperpositionParams)
     fields = (params.alpha, params.beta, params.gamma, params.delta)
     return np.array([[complex(v) for v in fields[:params.n_components]]])
 
 
-def _tfim_fg(d) -> dict:
-    """(f, g) of each non-degenerate tfim level."""
+def _level_fg(name: str, n: int, d) -> tuple[np.ndarray, np.ndarray]:
+    """(f, g) of the non-degenerate tfim or xzx level n at each coupling of d,
+    refused wherever any normalizer of the model overflows: where that of f1,
+    its largest f, does."""
+    form, scale = _NONDEG[(name, n)][:2]
     with np.errstate(over="ignore", invalid="ignore"):
         d, a, b = _ab(d)
-        f0 = -1.0 + 2.0 * d + 2.0 * b
-        f1 = 2.0 * d + 2.0 * a + 1.0
-        f2 = (2.0 * b + d + 1.0) / ((b + d) * (b + d))
-        f5 = (2.0 * a + d - 1.0) / ((a + d) * (a + d))
-        fg = {
-            0: (f0, np.sqrt(f0 * f0 + 3.0)),
-            1: (f1, _SQRT3 * np.sqrt(f1 * f1 + 3.0)),
-            2: (f2, np.sqrt(f2 * f2 + 3.0)),
-            5: (f5, _SQRT3 * np.sqrt(f5 * f5 + 3.0)),
-        }
-    _refuse_overflow("tfim", d, [g for _, g in fg.values()])
-    return fg
-
-
-def _xzx_fg(d) -> dict:
-    """(f, g) of each non-degenerate xzx level."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        d, a, _ = _ab(d)
-        f0 = 2.0 * d + 2.0 * a + 1.0
-        f4 = (2.0 * a + d - 1.0) / ((a + d) * (a + d))
-        fg = {
-            0: (f0, _SQRT3 * np.sqrt(f0 * f0 + 3.0)),
-            1: (f0, _SQRT3 * np.sqrt(f0 * f0 + 3.0)),
-            4: (f4, _SQRT3 * np.sqrt(f4 * f4 + 3.0)),
-            5: (f4, np.sqrt(f4 * f4 + 3.0)),
-        }
-    _refuse_overflow("xzx", d, [g for _, g in fg.values()])
-    return fg
-
-
-def _nondeg_vector(name: str, n: int, d) -> np.ndarray:
-    """(P, 8) eigenvectors of the non-degenerate level n, one row per
-    coupling."""
-    if name == "xx":
-        return np.tile((W_KET, X3W_KET, _ket(0b000), _ket(0b111))[n], (np.size(d), 1))
-    f, g = (np.reshape(x, (-1, 1)) for x in (_tfim_fg if name == "tfim" else _xzx_fg)(d)[n])
-    if name == "tfim":
-        if n == 0:
-            num = f * _ket(0b000) + _SQRT3 * X3W_KET
-        elif n == 1:
-            num = f * _SQRT3 * W_KET + 3.0 * _ket(0b111)
-        elif n == 2:
-            num = -f * _ket(0b000) + _SQRT3 * X3W_KET
-        else:
-            num = -f * _SQRT3 * W_KET + 3.0 * _ket(0b111)
-    elif n == 0:
-        num = 3.0 * _ket(0b111) - f * _SQRT3 * W_KET
-    elif n == 1:
-        num = _SQRT3 * f * _ket(0b000) + 3.0 * X3W_KET
-    elif n == 4:
-        num = 3.0 * _ket(0b111) + _SQRT3 * f * W_KET
-    else:
-        num = -f * _ket(0b000) + _SQRT3 * X3W_KET
-    return num / g
+        top = _F[1](d, a, b)
+        _refuse_overflow(name, d, [top * top])
+        f = _F[form](d, a, b)
+        return f, scale * np.sqrt(f * f + 3.0)
 
 
 def _check_level(name: str, n) -> int:
@@ -462,6 +433,23 @@ def _fused_member(name: str, n: int, d: float, k: int | None) -> bool:
     return True
 
 
+def _member_family(name: str, n: int, d, coeffs: np.ndarray | None):
+    """The (basis kets, coefficient columns) of level n's members, the fused
+    family for three-component coeffs, or None for a non-degenerate level;
+    refuses coeffs that do not fit the level."""
+    k = None if coeffs is None else coeffs.shape[1]
+    if _fused_member(name, n, d, k):
+        return _FUSED_FAMILY
+    family = _DEG_FAMILY.get((name, n))
+    if k is not None:
+        if family is None:
+            raise ValidationError(f"{name} level {n} is non-degenerate; params do not apply")
+        if k != len(family[0]):
+            raise ValidationError(
+                f"{name} level {n} takes {len(family[0])}-component superposition params, got {k}")
+    return family
+
+
 def _cmul(a, b) -> np.ndarray:
     """a * b as Python and numpy scalars multiply complex numbers; numpy's
     vectorised complex multiply fuses a multiply-add and can differ in the
@@ -489,51 +477,19 @@ def _level_members(name: str, n: int, d, coeffs: np.ndarray | None) -> np.ndarra
     members of the fused transverse-field subspace (d one coupling then).
     Each member is summed coefficient by basis ket in the family's order.
     """
-    k = None if coeffs is None else coeffs.shape[1]
-    if _fused_member(name, n, d, k):
-        basis, cols = _FUSED_FAMILY
-    else:
-        family = _DEG_FAMILY.get((name, n))
-        if family is None:
-            if coeffs is not None:
-                raise ValidationError(
-                    f"{name} level {n} is non-degenerate; params do not apply")
-            return _nondeg_vector(name, n, d)
-        if coeffs is None:
-            raise NeedParams(f"{name} level {n} is degenerate; pass SuperpositionParams")
-        basis, cols = family
-        _require_components(k, len(basis), f"{name} level {n}")
+    family = _member_family(name, n, d, coeffs)
+    if family is None:
+        if name == "xx":
+            return np.tile(_XX_KETS[(name, n)], (np.size(d), 1))
+        f, g = (np.reshape(x, (-1, 1)) for x in _level_fg(name, n, d))
+        (c0, ket0), (c1, ket1) = _NONDEG[(name, n)][2]
+        return (c0 * f * ket0 + c1 * ket1) / g
+    if coeffs is None:
+        raise NeedParams(f"{name} level {n} is degenerate; pass SuperpositionParams")
     amps = np.zeros((len(coeffs), 8), dtype=complex)
-    for ket, col in zip(basis, cols):
+    for ket, col in zip(*family):
         amps += coeffs[:, col, None] * ket
     return amps
-
-
-# tangle c f^p / g^4 of each non-degenerate tfim and xzx level, with (f, g)
-# from _tfim_fg or _xzx_fg; every other tfim, xx and xzx level has tangle 0
-_NONDEG_TANGLE = {
-    ("tfim", 0): (16.0, 1), ("tfim", 1): (48.0, 3), ("tfim", 2): (16.0, 1), ("tfim", 5): (48.0, 3),
-    ("xzx", 0): (48.0, 3), ("xzx", 1): (144.0, 1), ("xzx", 4): (48.0, 3), ("xzx", 5): (16.0, 1),
-}
-
-
-def _fixed_tangle(name: str, n: int, d, coeffs: np.ndarray | None) -> np.ndarray:
-    """Tangles of a tfim, xx or xzx level: one per coupling, or one per row
-    of coeffs for a degenerate level, whose members all share the tangle,
-    so such levels take two-component coeffs or none."""
-    if coeffs is not None:
-        if (name, n) not in _DEG_FAMILY:
-            raise ValidationError(f"{name} level {n} is non-degenerate; params do not apply")
-        _require_components(coeffs.shape[1], 2, f"{name} level {n}")
-    if (name, n) in _NONDEG_TANGLE:
-        c, p = _NONDEG_TANGLE[(name, n)]
-        f, g = (_tfim_fg if name == "tfim" else _xzx_fg)(d)[n]
-        # Python floats keep libm's pow, whose bits numpy's vectorised power
-        # does not match; where g ** 4 would overflow the tangle is below 1e-230
-        return np.array([c * fi ** p / gi ** 4 if gi < 2.0 ** 255
-                         else c * (fi / gi) ** p * (1.0 / gi) ** (4 - p)
-                         for fi, gi in zip(np.ravel(f).tolist(), np.ravel(g).tolist())])
-    return np.zeros(np.size(d) if coeffs is None else len(coeffs))
 
 
 def _level_tangles(name: str, n: int, d, coeffs: np.ndarray | None) -> np.ndarray:
@@ -546,8 +502,8 @@ def _level_tangles(name: str, n: int, d, coeffs: np.ndarray | None) -> np.ndarra
     libm's hypot, as Python complex scalars do, so a member's tangle does not
     depend on the batch it is in.
     """
-    k = None if coeffs is None else coeffs.shape[1]
-    if _fused_member(name, n, d, k):
+    family = _member_family(name, n, d, coeffs)
+    if family is _FUSED_FAMILY:
         al, be, g = coeffs.T
         xi = _cmul(al, _OMEGA.conjugate()) + _cmul(be, _OMEGA)
         eta = _cmul(al, _OMEGA) + _cmul(be, _OMEGA.conjugate())
@@ -555,17 +511,24 @@ def _level_tangles(name: str, n: int, d, coeffs: np.ndarray | None) -> np.ndarra
         inner = _cmul(g, g) - _cmul(odd, odd) / 3.0 + _cmul(4.0 * eta / 3.0, al + be)
         mag = _abs(g)
         tau = mag * mag * _abs(inner)
+    elif (name, n) in _NONDEG:
+        c, p = _NONDEG[(name, n)][3]
+        f, g = _level_fg(name, n, d)
+        # Python floats keep libm's pow, whose bits numpy's vectorised power
+        # does not match; where g ** 4 would overflow the tangle is below 1e-230
+        tau = np.array([c * fi ** p / gi ** 4 if gi < 2.0 ** 255
+                        else c * (fi / gi) ** p * (1.0 / gi) ** (4 - p)
+                        for fi, gi in zip(np.ravel(f).tolist(), np.ravel(g).tolist())])
     elif name != "xxx":
-        tau = _fixed_tangle(name, n, d, coeffs)
+        # every other tfim, xx and xzx level, and each member of one, has tangle 0
+        tau = np.zeros(np.size(d) if coeffs is None else len(coeffs))
     # xxx: every level is degenerate and the tangle varies over each subspace
     elif coeffs is None:
         raise NeedParams(f"xxx level {n} tangle depends on the member; pass params")
     elif n in (0, 1):
-        _require_components(k, 2, f"xxx level {n}")
         b2 = coeffs[:, 1].real * coeffs[:, 1].real
         tau = 4.0 * b2 * (1.0 - b2) / (1.0 if n == 0 else 3.0)
     else:
-        _require_components(k, 4, "xxx level 2")
         al, be, ga, de = coeffs.T
         # pair the two k = 1, 2 kets of each magnetization sector
         s_ab = al + ga
@@ -591,9 +554,9 @@ def closed_form_eigenstate(model, n: int, delta: float | None = None,
     three-component params (gamma on the even basis ket). The one-coupling,
     one-member case of _level_members.
     """
-    cm = _as_model(model, delta)
-    n = _check_level(cm.name, n)
-    return PureState3(_level_members(cm.name, n, float(cm.delta), _params_row(params))[0])
+    name, d = _one_coupling(model, delta)
+    n = _check_level(name, n)
+    return PureState3(_level_members(name, n, d, _params_row(params))[0])
 
 
 def closed_form_tangle(model, n: int, delta: float | None = None,
@@ -604,9 +567,9 @@ def closed_form_tangle(model, n: int, delta: float | None = None,
     (the single-excitation families) report it without params. The
     one-coupling, one-member case of _level_tangles.
     """
-    cm = _as_model(model, delta)
-    n = _check_level(cm.name, n)
-    return float(_level_tangles(cm.name, n, float(cm.delta), _params_row(params))[0])
+    name, d = _one_coupling(model, delta)
+    n = _check_level(name, n)
+    return float(_level_tangles(name, n, d, _params_row(params))[0])
 
 
 @dataclass(frozen=True)
@@ -666,13 +629,13 @@ def symmetry_label_rows(amps: np.ndarray, tol: float = 1e-9,
     if unknown:
         raise ValidationError(
             f"no symmetry label named {sorted(unknown)}; labels are {tuple(_LABELS)}")
-    amps = np.asarray(amps, dtype=complex).reshape(-1, 8)
+    amps = _rows8(amps)
     return {f: _eigen_label(_LABELS[f][0](amps), amps, tol, *_LABELS[f][1:]) for f in names}
 
 
 def symmetry_labels(s: PureState3, tol: float = 1e-9) -> SymmetryLabels:
     """The symmetry labels of one state: one row of symmetry_label_rows."""
-    cols = symmetry_label_rows(s.amp[None, :], tol)
+    cols = symmetry_label_rows(_state(s).amp[None, :], tol)
     return SymmetryLabels(**{f: col[0] for f, col in cols.items()})
 
 
@@ -683,7 +646,7 @@ def degenerate_bloch_family(model, n: int, params: SuperpositionParams) -> Bloch
     two-fold levels of the isotropic chain; its four-fold level has no
     closed Bloch form and is rejected.
     """
-    name = model.name if isinstance(model, ChainModel) else str(model)
+    name = str(model)
     _check_model(name)
     n = _check_level(name, n)
     family = _DEG_FAMILY.get((name, n))
@@ -691,7 +654,7 @@ def degenerate_bloch_family(model, n: int, params: SuperpositionParams) -> Bloch
         raise NotDegenerate(f"{name} level {n} is non-degenerate")
     if name == "xxx" and n == 2:
         raise UnsupportedType("no closed Bloch form for the four-fold level")
-    if params.gamma is not None:
+    if _instance(params, SuperpositionParams).gamma is not None:
         raise ValidationError("two-component params expected for this family")
     if name == "xxx":
         a2 = abs(complex(params.alpha)) ** 2
@@ -881,7 +844,7 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
     so seed must be a non-negative integer. A sweep is byte-identical from
     run to run, but a row's last bit may depend on the batch size.
     """
-    name = model.name if isinstance(model, ChainModel) else str(model)
+    name = str(model)
     _check_model(name)
     if params_policy not in ("grid", "mc"):
         raise ValidationError(f"params_policy must be grid or mc, got {params_policy!r}")

@@ -8,6 +8,7 @@ reduce_one is the density-matrix route kept as an accessor and reference.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,8 @@ def entropy_from_norm(r: float, bits: bool = False) -> float:
     S = ((1+r)/2) log(2/(1+r)) + ((1-r)/2) log(2/(1-r)), natural log by
     default; pass bits=True for log base 2. The r = 1 endpoint is exact.
     """
+    if not isinstance(r, numbers.Real):
+        raise ValidationError(f"Bloch norm must be a real number, got {r!r}")
     # written so that NaN fails too
     if not -1e-12 <= r <= 1.0 + 1e-12:
         raise OutOfRange(f"Bloch norm {r} outside [0, 1]")

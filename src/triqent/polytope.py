@@ -4,11 +4,12 @@ geometric tangle ansatz. Each function maps Bloch rows (..., 3), or arrays
 of R, elementwise; a BlochTriple, one row or a scalar R gives a scalar."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import EntLabel
+from .canonical import CanonicalForm, CanonicalRows, EntLabel
 from .entanglement import BlochTriple
 from .errors import (
     ComplexTau,
@@ -18,6 +19,7 @@ from .errors import (
     UnsupportedType,
     ValidationError,
 )
+from .qstate import _instance
 
 SQRT3 = float(np.sqrt(3.0))
 R_W = float(1.0 / np.sqrt(3.0))
@@ -52,7 +54,7 @@ COARSE_TYPES = ("1", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5")
 
 def _check_tol(tol: float) -> None:
     # written so that NaN fails too
-    if not 0.0 <= tol < np.inf:
+    if not isinstance(tol, numbers.Real) or not 0.0 <= tol < np.inf:
         raise ValidationError(f"tolerance must be finite and non-negative, got {tol}")
 
 
@@ -69,26 +71,12 @@ class Region:
             raise UnknownRegion(f"unknown region kind {self.kind!r}")
         _check_tol(self.tol)
         if self.kind == "face":
-            if self.signs is None or tuple(self.signs) not in FACE_SIGNS:
+            if (tuple(self.signs) if np.iterable(self.signs) else self.signs) not in FACE_SIGNS:
                 raise UnknownRegion(
                     f"face signs must be one of {FACE_SIGNS}, got {self.signs!r}"
                 )
         elif self.signs is not None:
             raise UnknownRegion(f"signs only apply to faces, not {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class BoundCurve:
-    """One of the named (R, tau) bound curves."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in CURVE_KINDS:
-            raise ValidationError(f"unknown bound curve {self.kind!r}")
-
-    def at(self, r):
-        return bound_curve(self.kind, r)
 
 
 def _out(x):
@@ -138,49 +126,59 @@ def big_r_from_cf(cf):
     D = l1^2 l4^2 + l2^2 l3^2 - 2 l1 l2 l3 l4 cos(phi). Agrees with the
     norm of the reconstructed state's Bloch triple to machine precision.
     """
+    if not isinstance(cf, (CanonicalForm, CanonicalRows)):
+        raise ValidationError(f"expected a CanonicalForm or CanonicalRows, got {type(cf).__name__}")
     l0, l1, l2, l3, l4 = np.moveaxis(np.asarray(cf.lambdas, dtype=float), -1, 0)
     d = l1 ** 2 * l4 ** 2 + l2 ** 2 * l3 ** 2 - 2.0 * l1 * l2 * l3 * l4 * np.cos(cf.phi)
     r2 = 3.0 - 4.0 * l0 ** 2 * (3.0 - 3.0 * l0 ** 2 - 3.0 * l1 ** 2 - l2 ** 2 - l3 ** 2) - 8.0 * d
     return _out(np.sqrt(np.clip(r2, 0.0, 3.0)))
 
 
-def dist_to_diagonal(r):
-    """Distance from each Bloch row to the main diagonal r_A = r_B = r_C."""
-    rows = _rows(r)
+def _diagonal_distance(rows: np.ndarray) -> np.ndarray:
     ra, rb, rc = rows[..., 0], rows[..., 1], rows[..., 2]
     # sum-of-squared-differences form of r.r - sum of cross terms; the direct
     # expression cancels catastrophically for near-diagonal triples
     rad = 0.5 * ((ra - rb) ** 2 + (ra - rc) ** 2 + (rb - rc) ** 2)
-    return _out(np.sqrt(2.0 / 3.0) * np.sqrt(rad))
+    return np.sqrt(2.0 / 3.0) * np.sqrt(rad)
 
 
-def membership(r, reg: Region):
-    """Whether each Bloch row lies in the region, within its tolerance."""
-    rows = _rows(r)
+def dist_to_diagonal(r):
+    """Distance from each Bloch row to the main diagonal r_A = r_B = r_C."""
+    return _out(_diagonal_distance(_rows(r)))
+
+
+def _inside(rows: np.ndarray, kind: str, tol: float, signs=None) -> np.ndarray:
+    """Whether each of the checked Bloch rows lies in the region of that
+    kind (and face signs), within the checked tol."""
     ra, rb, rc = rows[..., 0], rows[..., 1], rows[..., 2]
-    tol = reg.tol
-    if reg.kind == "face":
-        sa, sb, sc = reg.signs
+    if kind == "face":
+        sa, sb, sc = signs
         ok = np.abs(sa * ra - sb * rb - sc * rc + 1.0) <= tol
-    elif reg.kind == "diagonal":
-        ok = dist_to_diagonal(rows) <= tol
-    elif reg.kind == "triangle-12":
+    elif kind == "diagonal":
+        ok = _diagonal_distance(rows) <= tol
+    elif kind == "triangle-12":
         ok = (np.abs(ra - rb) <= tol) & (rc > ra + tol) & (rc > rb + tol)
-    elif reg.kind == "triangle-23":
+    elif kind == "triangle-23":
         ok = (np.abs(rb - rc) <= tol) & (ra > rb + tol) & (ra > rc + tol)
-    elif reg.kind == "triangle-13":
+    elif kind == "triangle-13":
         ok = (np.abs(ra - rc) <= tol) & (rb > ra + tol) & (rb > rc + tol)
-    elif reg.kind == "wedge-l2":
+    elif kind == "wedge-l2":
         ok = rb + tol < np.minimum(ra, rc)
-    elif reg.kind == "wedge-l3":
+    elif kind == "wedge-l3":
         ok = rc + tol < np.minimum(ra, rb)
     else:
         ok = (((rows >= -tol) & (rows <= 1.0 + tol)).all(axis=-1)
               & (1.0 + ra - rb - rc >= -tol) & (1.0 - ra + rb - rc >= -tol)
               & (1.0 - ra - rb + rc >= -tol))
-        if reg.kind == "upper-tetrahedron":
+        if kind == "upper-tetrahedron":
             ok &= ra + rb + rc >= 1.0 - tol
-    return _out(ok)
+    return ok
+
+
+def membership(r, reg: Region):
+    """Whether each Bloch row lies in the region, within its tolerance."""
+    reg = _instance(reg, Region)
+    return _out(_inside(_rows(r), reg.kind, reg.tol, reg.signs))
 
 
 # the regions whose union is each coarse type's stratum; types 1 and 2a are
@@ -202,9 +200,8 @@ def in_stratum(kind: str, r, tol: float = 1e-9):
         return _out((np.abs(srt[..., 2] - 1.0) <= tol) & (np.abs(srt[..., 0] - srt[..., 1]) <= tol))
     if kind not in _STRATA:
         raise UnknownType(f"no stratum for type {kind!r}")
-    regions = [Region(t, tol, sg) for t in _STRATA[kind]
-               for sg in (FACE_SIGNS if t == "face" else (None,))]
-    ok = np.logical_or.reduce([membership(rows, reg) for reg in regions])
+    ok = np.logical_or.reduce([_inside(rows, t, tol, sg) for t in _STRATA[kind]
+                               for sg in (FACE_SIGNS if t == "face" else (None,))])
     if kind == "3a":
         ok &= rows.sum(axis=-1) >= 1.0 - tol
     return _out(ok)
@@ -306,7 +303,7 @@ _F_TRIANGLE = {"3b-12": 2, "3b-23": 0, "3b-13": 1}
 
 def f_lowest_order(label: EntLabel | str, r, pairing: str = "suppressed"):
     """Lowest-order F factor of each Bloch row for the triangle and wedge types."""
-    kind = label if isinstance(label, str) else label.kind
+    kind = label.kind if isinstance(label, EntLabel) else str(label)
     rows = _rows(r)
     if kind in _F_TRIANGLE:
         return _out(2.0 * rows[..., _F_TRIANGLE[kind]] * np.sqrt(2.0 / 3.0))

@@ -1,6 +1,7 @@
 """Four solvable rings: spectra, eigenstates, tangles, symmetries, sweeps."""
 from __future__ import annotations
 
+import hashlib
 import re
 import warnings
 
@@ -45,9 +46,12 @@ from triqent import (
 from triqent.chains import (
     DELTA_RANGES,
     GAP_TOL,
+    LEVEL_COUNT,
     _DEG_FAMILY,
+    _NONDEG,
     _draw_members,
     _energies,
+    _level_fg,
     _level_members,
     _level_tangles,
     _random_params,
@@ -60,7 +64,14 @@ GRIDS = {
     "xxx": np.linspace(-2.0, 2.0, 21),
     "xzx": np.linspace(0.0, 2.5, 21),
 }
-LEVELS = {"tfim": 6, "xx": 6, "xxx": 3, "xzx": 6}
+# the levels of tangle c f^p / g^4 as (model, level, p): f grows with the
+# coupling on the first, and tends to 0 on the second
+_GROWING = [(name, n, tau[1]) for (name, n), (form, _, _, tau) in _NONDEG.items() if form < 2]
+_DECAYING = [(name, n, tau[1]) for (name, n), (form, _, _, tau) in _NONDEG.items() if form >= 2]
+
+
+def _nondeg_levels(name):
+    return [n for m, n in _NONDEG if m == name]
 
 
 def _members(name, n, d, rng):
@@ -156,7 +167,7 @@ def test_stacked_calls_equal_their_one_coupling_calls(name):
     assert np.array_equal(_bits(np.stack(energies, axis=1)),
                           _bits(np.array([[e for e, _ in s] for s in one])))
     assert all(list(mults) == [m for _, m in s] for s in one)
-    for n in range(LEVELS[name]):
+    for n in range(LEVEL_COUNT[name]):
         if (name, n) not in _DEG_FAMILY:
             amps = _level_members(name, n, grid, None)
             assert amps.shape == (2000, 8)
@@ -207,7 +218,7 @@ def test_closed_forms_refuse_couplings_where_they_overflow(name):
         calls += [(big, lambda: sweep(name, [0.5, big])),
                   (big, lambda: closed_form_eigenstate(name, 0, big)),
                   (big, lambda: closed_form_tangle(name, 0, big))]
-        for n in (0, 1):
+        for n in _nondeg_levels(name):
             for bad, d in ((big, np.float64(big)), (big, int(big)),
                            (big, np.array([0.5, big, 1.0])), (huge, np.array([0.5, huge]))):
                 calls += [(bad, lambda n=n, d=d: _level_members(name, n, d, None)),
@@ -219,20 +230,36 @@ def test_closed_forms_refuse_couplings_where_they_overflow(name):
                 call()
 
 
+@pytest.mark.parametrize("name,n,p", _DECAYING)
+def test_a_level_whose_f_tends_to_zero_is_refused_where_its_model_overflows(name, n, p):
+    # the model's largest normalizer overflows past about 3.4e153, and each
+    # of its levels refuses those couplings instead of returning a tangle
+    # near 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (5e153, 1e154, 1.2e154):
+            calls = (lambda: closed_form_eigenstate(name, n, d),
+                     lambda: closed_form_tangle(name, n, d),
+                     lambda: _level_members(name, n, np.array([0.5, d]), None),
+                     lambda: _level_tangles(name, n, np.array([0.5, d]), None))
+            for call in calls:
+                with pytest.raises(OutOfDomain, match=re.escape(f"delta = {d:g}")):
+                    call()
+
+
 def test_closed_tangles_stay_finite_where_g_to_the_fourth_overflows():
     # g ** 4 overflows a float past g = 2 ** 256; the tangle there is tiny
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for name, levels in (("tfim", (0, 1)), ("xzx", (0, 1))):
-            for n in levels:
-                s = closed_form_eigenstate(name, n, 1e80)
-                assert 0.0 <= closed_form_tangle(name, n, 1e80) <= 1e-79
-                assert tangle(s) <= 1e-12
+        for name, n, _ in _GROWING:
+            s = closed_form_eigenstate(name, n, 1e80)
+            assert 0.0 <= closed_form_tangle(name, n, 1e80) <= 1e-79
+            assert tangle(s) <= 1e-12
     assert closed_form_tangle("tfim", 0, 1e80) == pytest.approx(2.5e-241, rel=1e-12)
     assert closed_form_tangle("tfim", 1, 1e80) == pytest.approx(4.0 / 3.0 * 1e-80, rel=1e-12)
 
 
-@pytest.mark.parametrize("name,n,p", [("tfim", 2, 1), ("xzx", 5, 1), ("tfim", 5, 3), ("xzx", 4, 3)])
+@pytest.mark.parametrize("name,n,p", _DECAYING)
 def test_closed_tangles_follow_their_power_law_at_large_coupling(name, n, p):
     # f = (2b + d + 1) / (b + d)^2 or (2a + d - 1) / (a + d)^2 tends to
     # 3 / (4 d) without cancellation, so tau tends to 4 / (3 d) on the p = 1
@@ -253,11 +280,34 @@ def test_closed_tangles_follow_their_power_law_at_large_coupling(name, n, p):
 
 def test_a_coupling_beyond_the_float_range_is_out_of_domain():
     huge = 10 ** 400
-    calls = (lambda: closed_form_spectrum("tfim", huge), lambda: chains.ChainModel("tfim", huge),
+    calls = (lambda: closed_form_spectrum("tfim", huge), lambda: closed_form_tangle("tfim", 0, huge),
              lambda: build_hamiltonian("tfim", [0.5, huge]), lambda: sweep("tfim", [0.5, huge]))
     for call in calls:
         with pytest.raises(OutOfDomain, match="finite delta"):
             call()
+
+
+# sha256 of the closed energies, members and tangles of every level of every
+# model over a grid reaching 1e153, with 50 seeded members per degenerate
+# level, then of 50 members of the fused transverse-field subspace
+CLOSED_FORM_DIGEST = "fa05a0b6b87a4c36b80ded66d4d5b39ea3f64d5b3165ec3339955255ead47650"
+
+
+def test_closed_forms_match_their_digest():
+    h = hashlib.sha256()
+    rng = np.random.default_rng(23)
+    for name in MODELS:
+        grid = np.concatenate([np.linspace(*DELTA_RANGES[name], 501), np.logspace(-12, 153, 250)])
+        h.update(np.stack(_energies(name, grid)[0]).tobytes())
+        for n in range(LEVEL_COUNT[name]):
+            family = _DEG_FAMILY.get((name, n))
+            coeffs = None if family is None else _draw_members(len(family[0]), 50, rng)
+            h.update(_level_members(name, n, grid, coeffs).tobytes())
+            h.update(_level_tangles(name, n, grid, coeffs).tobytes())
+    coeffs = _draw_members(3, 50, rng)
+    h.update(_level_members("tfim", 2, 1.0, coeffs).tobytes())
+    h.update(_level_tangles("tfim", 2, 1.0, coeffs).tobytes())
+    assert h.hexdigest() == CLOSED_FORM_DIGEST
 
 
 def test_merge_levels_sorts_and_fuses():
@@ -292,7 +342,7 @@ def test_closed_eigenstates_satisfy_the_eigenvalue_equation():
                 continue
             h = build_hamiltonian(name, d)
             closed = closed_form_spectrum(name, d)
-            for n in range(LEVELS[name]):
+            for n in range(LEVEL_COUNT[name]):
                 for s, _ in _members(name, n, d, rng):
                     e = closed[n][0]
                     assert np.linalg.norm(h @ s.amp - e * s.amp) <= 1e-9, (name, n, d)
@@ -350,7 +400,7 @@ def test_closed_tangles_match_the_polynomial_route():
             d = float(d)
             if name == "tfim" and abs(d - 1.0) <= GAP_TOL:
                 continue
-            for n in range(LEVELS[name]):
+            for n in range(LEVEL_COUNT[name]):
                 for s, p in _members(name, n, d, rng):
                     closed = closed_form_tangle(name, n, d, p)
                     worst = max(worst, abs(closed - tangle(s)))
@@ -396,11 +446,9 @@ def test_isotropic_band_tangles():
 # canonical-form anchors of chain levels
 
 def test_tfim_level_decompositions_follow_the_f_over_g_pattern():
-    from triqent.chains import _tfim_fg
     for d in (0.3, 0.8, 1.7):
-        fg = _tfim_fg(d)
         for n in (0, 2):
-            f, g = fg[n]
+            f, g = _level_fg("tfim", n, d)
             lam = np.asarray(canonical_decompose(
                 closed_form_eigenstate("tfim", n, d)).lambdas)
             expect = np.array([
@@ -416,9 +464,8 @@ def test_tfim_level_decompositions_follow_the_f_over_g_pattern():
 
 def test_tfim_top_level_coefficient_pattern():
     # the repeated pair is lambda2 = lambda3; the tuple must normalize
-    from triqent.chains import _tfim_fg
     for d in (0.4, 1.0, 2.1):
-        f, g = _tfim_fg(d)[5]
+        f, g = _level_fg("tfim", 5, d)
         lam = np.asarray(canonical_decompose(
             closed_form_eigenstate("tfim", 5, d)).lambdas)
         expect = np.array([
@@ -470,10 +517,8 @@ def test_xxx_single_excitation_band_decomposition():
 
 
 def test_xzx_level_decompositions_follow_the_f_over_g_pattern():
-    from triqent.chains import _xzx_fg
     for d in (0.3, 1.2):
-        fg = _xzx_fg(d)
-        f0, g0 = fg[0]
+        f0, g0 = _level_fg("xzx", 0, d)
         lam = np.asarray(canonical_decompose(
             closed_form_eigenstate("xzx", 0, d)).lambdas)
         expect = np.array([
@@ -495,7 +540,7 @@ def test_xzx_level_decompositions_follow_the_f_over_g_pattern():
             2.0 * np.sqrt(f0) / np.sqrt(f0 + 1.0),
         ]) / root
         assert np.max(np.abs(lam - expect)) <= 1e-9, d
-        f4, g4 = fg[4]
+        f4, g4 = _level_fg("xzx", 4, d)
         lam = np.asarray(canonical_decompose(
             closed_form_eigenstate("xzx", 4, d)).lambdas)
         expect = np.array([
@@ -506,7 +551,7 @@ def test_xzx_level_decompositions_follow_the_f_over_g_pattern():
             2.0 * np.sqrt(3.0) * f4 / np.sqrt(f4 + 3.0),
         ]) / g4
         assert np.max(np.abs(lam - expect)) <= 1e-9, d
-        f5, g5 = fg[5]
+        f5, g5 = _level_fg("xzx", 5, d)
         lam = np.asarray(canonical_decompose(
             closed_form_eigenstate("xzx", 5, d)).lambdas)
         expect = np.array([
@@ -570,7 +615,7 @@ def test_batch_labels_match_the_per_state_labels():
     # ket 0 - ket 7 has spin-flip sign -1, ket 1 - ket 4 reversal sign -1
     states = [PureState3(WT1_KET), PureState3(X3WT2_KET), ghz(), w_state(),
               ket((0, 1.0), (7, -1.0)), ket((1, 1.0), (4, -1.0))]
-    states += [closed_form_eigenstate("tfim", n, 0.7) for n in (0, 1, 2, 5)]
+    states += [closed_form_eigenstate("tfim", n, 0.7) for n in _nondeg_levels("tfim")]
     states += [closed_form_eigenstate("xxx", 1, 0.3, _random_params(2, rng)),
                closed_form_eigenstate("xzx", 4, 1.3)]
     states += [haar_state(rng) for _ in range(4)]
@@ -619,7 +664,7 @@ def _levels():
     and the fused transverse-field subspace at delta = 1."""
     for name in MODELS:
         d = -0.6 if name == "xxx" else 0.7
-        for n in range(LEVELS[name]):
+        for n in range(LEVEL_COUNT[name]):
             family = _DEG_FAMILY.get((name, n))
             yield name, n, d, None if family is None else len(family[0])
     yield "tfim", 2, 1.0, 3
@@ -716,7 +761,7 @@ def test_sweep_measures_its_whole_grid_in_one_batch(monkeypatch, policy, perturb
     table = sweep("xxx", np.linspace(-2.0, 2.0, points).tolist(), params_policy=policy,
                   perturb=perturb, seed=1)
     assert len(table) == points * (8 if perturb else 120)
-    levels = 0 if perturb else LEVELS["xxx"]
+    levels = 0 if perturb else LEVEL_COUNT["xxx"]
     assert calls == {"invariants": 1, "check_monogamy": 1,
                      "_level_members": levels, "_level_tangles": levels}
 
@@ -755,10 +800,10 @@ def test_field_probe_separates_degenerate_and_gapped_levels():
         for j in range(8):
             assert tangle(PureState3(evecs[:, j])) < 1e-2
     # gapped levels of the other two rings barely move
-    for name, levels in (("tfim", (0, 1, 2, 5)), ("xzx", (0, 1, 4, 5))):
+    for name in ("tfim", "xzx"):
         ep, vp = eigensystem(build_hamiltonian(name, d) + xi * z0)
         closed = closed_form_spectrum(name, d)
-        for n in levels:
+        for n in _nondeg_levels(name):
             jp = int(np.argmin(np.abs(ep - closed[n][0])))
             shift = abs(tangle(PureState3(vp[:, jp]))
                         - closed_form_tangle(name, n, d))

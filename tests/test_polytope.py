@@ -16,9 +16,7 @@ from triqent import (
     R_STAR,
     R_W,
     BlochTriple,
-    BoundCurve,
     CanonicalForm,
-    ChainModel,
     ComplexTau,
     LocalUnitary,
     OutOfDomain,
@@ -48,20 +46,27 @@ from triqent import (
     degenerate_bloch_family,
     det_zero_solutions,
     dist_to_diagonal,
+    eigensystem,
+    entropy_from_norm,
     f_lowest_order,
     hyperdeterminant,
     in_stratum,
     lambda3_star,
     membership,
+    merge_levels,
     normalize_rows,
+    pauli_string,
     reassemble,
     reconstruct,
     reduce_one,
+    run_checks,
     slice_state,
     sweep,
+    symmetry_labels,
     tangle,
     tau_surface,
 )
+from triqent.chains import symmetry_label_rows
 from triqent.entanglement import invariants
 from triqent.qstate import _draw_lambdas, _sample_type_batch
 
@@ -201,7 +206,6 @@ def test_bound_curve_domains():
         bound_curve("tau_star", -0.5)
     with pytest.raises(ValidationError):
         bound_curve("tau_side", 0.5)
-    assert BoundCurve("tau_max").at(0.5) == bound_curve("tau_max", 0.5)
 
 
 def test_lower_bound_stays_below_the_top_curve():
@@ -422,6 +426,7 @@ _ROW = np.array([[0.2, 0.3, 0.4], [0.5, 0.5, 0.5]])
 _CF = canonical_decompose(w_state())
 _AMPS = np.array([ghz().amp, w_state().amp])
 _MEMBER = SuperpositionParams(alpha=0.6, beta=0.8)
+_BT = BlochTriple(0.2, 0.3, 0.4)
 
 
 def _with_bad_row(bad):
@@ -449,7 +454,6 @@ _BAD_VALUE_CALLS = [
     ("in_stratum/tol", lambda x: in_stratum("2a", _ROW, tol=x)),
     ("bound_curve", lambda x: bound_curve("tau_max", x)),
     ("bound_curve/array", lambda x: bound_curve("tau_up", np.array([0.1, x]))),
-    ("BoundCurve.at", lambda x: BoundCurve("tau_down").at(x)),
     ("lambda3_star", lambda x: lambda3_star(x)),
     ("tau_surface/r", lambda x: tau_surface(x, 0.1, 0.1)),
     ("tau_surface/l2", lambda x: tau_surface(0.5, x, 0.1)),
@@ -472,6 +476,9 @@ _BAD_VALUE_CALLS = [
     ("closed_form_eigenstate/level", lambda x: closed_form_eigenstate("tfim", x, 0.5)),
     ("closed_form_tangle/level", lambda x: closed_form_tangle("xzx", x, 0.5)),
     ("degenerate_bloch_family/level", lambda x: degenerate_bloch_family("xx", x, _MEMBER)),
+    ("merge_levels", lambda x: merge_levels([(0.5, 1), (x, 2)])),
+    ("SuperpositionParams", lambda x: SuperpositionParams(x, x)),
+    ("SuperpositionParams/gamma", lambda x: SuperpositionParams(0.6, 0.8, x)),
 ]
 
 _BAD_SHAPE_CALLS = [
@@ -505,7 +512,7 @@ _BAD_SHAPE_CALLS = [
     ("sweep/grid-text", lambda: sweep("tfim", ["a"])),
     # a Python int beyond the float range is a coupling out of the domain
     ("closed_form_spectrum/int-overflow", lambda: closed_form_spectrum("tfim", 10 ** 400)),
-    ("ChainModel/int-overflow", lambda: ChainModel("tfim", 10 ** 400)),
+    ("closed_form_eigenstate/int-overflow", lambda: closed_form_eigenstate("tfim", 0, 10 ** 400)),
     ("build_hamiltonian/int-overflow", lambda: build_hamiltonian("tfim", [0.5, 10 ** 400])),
     ("sweep/int-overflow", lambda: sweep("tfim", [0.5, 10 ** 400])),
     # a level index is an integer, not a number that truncates to one
@@ -538,6 +545,29 @@ _BAD_SHAPE_CALLS = [
     ("SliceTensors/qubit", lambda: SliceTensors(np.eye(2), np.eye(2), "Q")),
     ("det_zero_solutions/non-slices", lambda: det_zero_solutions("x")),
     ("reconstruct/non-form", lambda: reconstruct("x")),
+    ("big_r_from_cf/non-form", lambda: big_r_from_cf(None)),
+    ("membership/non-region", lambda: membership(_BT, "bipyramid")),
+    ("symmetry_labels/non-state", lambda: symmetry_labels(None)),
+    ("closed_form_eigenstate/params-tuple",
+     lambda: closed_form_eigenstate("xxx", 0, 0.3, (0.6, 0.8))),
+    ("degenerate_bloch_family/params-none", lambda: degenerate_bloch_family("xxx", 0, None)),
+    # an argument of the wrong type
+    ("symmetry_label_rows/five", lambda: symmetry_label_rows(np.zeros(5))),
+    ("symmetry_label_rows/text", lambda: symmetry_label_rows(["a"] * 8)),
+    ("eigensystem/text", lambda: eigensystem("x")),
+    ("pauli_string/int", lambda: pauli_string(5)),
+    ("merge_levels/text", lambda: merge_levels([("a", 1)])),
+    ("merge_levels/non-pairs", lambda: merge_levels([0.5])),
+    ("merge_levels/multiplicity", lambda: merge_levels([(0.5, 1.5)])),
+    ("entropy_from_norm/text", lambda: entropy_from_norm("x")),
+    ("entropy_from_norm/none", lambda: entropy_from_norm(None)),
+    ("f_lowest_order/int-label", lambda: f_lowest_order(5, _BT)),
+    ("Region/tol-text", lambda: Region("bipyramid", "x")),
+    ("in_stratum/tol-text", lambda: in_stratum("3a", _BT, "x")),
+    ("Region/signs-int", lambda: Region("face", signs=5)),
+    ("run_checks/names-int", lambda: run_checks(names=5)),
+    ("SuperpositionParams/text", lambda: SuperpositionParams("x", 0.5)),
+    ("SuperpositionParams/beta-none", lambda: SuperpositionParams(0.6, None)),
 ]
 
 

@@ -1,11 +1,27 @@
 """The self-check battery should pass wholesale and fail loudly on misuse."""
 from __future__ import annotations
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
+import triqent
 from triqent import ValidationError, chains, check_names, run_checks
 from triqent import verify
+
+
+def test_public_names_are_listed_and_resolve():
+    # every public name the package imports is in __all__, and every name in
+    # __all__ is an attribute of the package
+    tree = ast.parse(inspect.getsource(triqent))
+    imported = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                and node.level for a in node.names if not a.name.startswith("_")}
+    assert imported == set(triqent.__all__)
+    assert len(triqent.__all__) == len(imported)
+    for name in triqent.__all__:
+        assert getattr(triqent, name) is not None, name
 
 
 def test_every_check_passes_at_the_default_seed():
