@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedType,
     ValidationError,
 )
-from .qstate import PureState3, _check_norms, _instance, _rows8, _state
+from .qstate import PureState3, _check_norms, _check_tol, _instance, _rows8, _state
 
 MODELS = ("tfim", "xx", "xxx", "xzx")
 
@@ -255,6 +255,7 @@ def closed_form_spectrum(model, delta: float | None = None) -> list[tuple[float,
 
 def merge_levels(levels, tol: float = GAP_TOL) -> list[tuple[float, int]]:
     """Ascending levels with coincident energies merged into one entry."""
+    _check_tol(tol)
     try:
         levels = [(e, m) for e, m in levels]
     except (TypeError, ValueError):
@@ -625,7 +626,11 @@ def symmetry_label_rows(amps: np.ndarray, tol: float = 1e-9,
     """The symmetry labels of each row of an (n, 8) amplitude array, as one
     object array of int or None per named SymmetryLabels field (all five by
     default), keyed by the field's name."""
-    unknown = set(names) - set(_LABELS)
+    _check_tol(tol)
+    try:
+        unknown = set(names) - set(_LABELS)
+    except TypeError:
+        raise ValidationError(f"names must be label names, got {names!r}") from None
     if unknown:
         raise ValidationError(
             f"no symmetry label named {sorted(unknown)}; labels are {tuple(_LABELS)}")
@@ -760,14 +765,16 @@ def _random_params(m: int, rng: np.random.Generator) -> SuperpositionParams:
 
 
 def _closed_grid(name: str, d: np.ndarray, energies: np.ndarray, mults, evals: np.ndarray,
-                 policy: str, seed: int, cols: dict[str, np.ndarray]) -> np.ndarray:
-    """The closed-form members of an unperturbed grid d (P,): (P * M, 8) rows,
-    the same M members at each point, each level paired with its numeric
-    energies from evals (P, 8); fills the n, energy_numeric, energy_closed,
-    multiplicity and tau_closed columns of cols. A level matches when its
-    numeric energies lie within GAP_TOL of the closed one, scaled by the
-    point's largest |eigenvalue| where that exceeds 1, since eigh rounds
-    relative to the spectrum.
+                 policy: str, seed: int, cols: dict[str, np.ndarray]):
+    """The closed-form members of an unperturbed grid d (P,), each level
+    paired with its numeric energies from evals (P, 8): the distinct member
+    rows (D, 8), and the index (P * M,) of each output row into them, the
+    same M members at each point. A level's members are built at their own
+    lead, once per sweep for the lattice and once per point otherwise. Fills
+    the n, energy_numeric, energy_closed, multiplicity and tau_closed
+    columns of cols. A level matches when its numeric energies lie within
+    GAP_TOL of the closed one, scaled by the point's largest |eigenvalue|
+    where that exceeds 1, since eigh rounds relative to the spectrum.
 
     Each level is one array operation over the whole grid. Only the member
     draws run per point: the mc policy and four-fold levels draw from one
@@ -807,22 +814,26 @@ def _closed_grid(name: str, d: np.ndarray, energies: np.ndarray, mults, evals: n
         blocks = np.split(normals, np.cumsum(widths)[:-1], axis=1)
         for (n, k), block in zip(sizes.items(), blocks):
             draws[n] = _normal_members(block.reshape(-1, 2, k))
-    member_blocks, tau_blocks = [], []
+    member_blocks, tau_blocks, index_blocks = [], [], []
+    start = 0
     for n, family in enumerate(families):
         coeffs = None if family is None else draws.get(n, _GRID_MEMBERS)
         # rows for every point, or the lattice's, the same at every point
         lead = len(d) if family is None or n in draws else 1
-        amps = _level_members(name, n, d, coeffs).reshape(lead, -1, 8)
-        taus = _level_tangles(name, n, d, coeffs).reshape(lead, -1)
-        member_blocks.append(np.broadcast_to(amps, (len(d),) + amps.shape[1:]))
-        tau_blocks.append(np.broadcast_to(taus, (len(d), taus.shape[1])))
-    counts = [b.shape[1] for b in tau_blocks]
+        member_blocks.append(_level_members(name, n, d, coeffs))
+        tau_blocks.append(_level_tangles(name, n, d, coeffs))
+        width = len(tau_blocks[-1]) // lead
+        # point i reads the level's rows of point i, or the lattice's
+        index_blocks.append(start + points % lead * width + np.arange(width))
+        start += lead * width
+    index = np.concatenate(index_blocks, axis=1).ravel()
+    counts = [b.shape[1] for b in index_blocks]
     cols["n"] = np.tile(np.repeat(np.arange(len(mults)), counts), len(d))
     cols["energy_numeric"] = np.repeat(e_num, counts, axis=1).ravel()
     cols["energy_closed"] = np.repeat(energies, counts, axis=1).ravel()
     cols["multiplicity"] = np.tile(np.repeat(mults, counts), len(d))
-    cols["tau_closed"] = np.concatenate(tau_blocks, axis=1).ravel()
-    return np.concatenate(member_blocks, axis=1).reshape(-1, 8)
+    cols["tau_closed"] = np.concatenate(tau_blocks)[index]
+    return np.concatenate(member_blocks), index
 
 
 def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
@@ -837,11 +848,14 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
     the rows describe the eigenvectors of H + perturb * Z on site 0 instead
     and the closed-form columns are NaN.
 
-    The grid is diagonalized as one stack, and the rows of all its points
-    are one batch for the norm check, invariants, monogamy check and labels.
-    The closed forms are computed level by level over the whole grid; only
-    the member draws run per point, from default_rng([seed, i]) at point i,
-    so seed must be a non-negative integer. A sweep is byte-identical from
+    The grid is diagonalized as one stack. The norm check, invariants, the
+    monogamy check and the labels run once per distinct member, in one
+    batch: lattice members are distinct once per sweep, every other member
+    (and each perturbed eigenvector) once per point, and the rows gather
+    their values from it. The closed forms are computed level by level over
+    the whole grid; only the member draws run per point, from
+    default_rng([seed, i]) at point i, so seed must be a non-negative
+    integer. A sweep is byte-identical from
     run to run, but a row's last bit may depend on the batch size.
     """
     name = str(model)
@@ -869,7 +883,7 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
     energies = np.stack(energies, axis=1)
     cols: dict[str, np.ndarray] = {}
     if perturb != 0.0:
-        amps = vecs.swapaxes(1, 2).reshape(-1, 8)
+        amps, index = vecs.swapaxes(1, 2).reshape(-1, 8), None
         cols["n"] = np.tile(_EIGHT, len(grid))
         cols["energy_numeric"] = evals.reshape(-1)
         cols["energy_closed"] = cols["tau_closed"] = np.full(len(amps), np.nan)
@@ -879,13 +893,15 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
             group = np.abs(evals[:, :, None] - evals[:, None, :]) <= GAP_TOL
         cols["multiplicity"] = group.sum(axis=2).reshape(-1)
     else:
-        amps = _closed_grid(name, grid, energies, mults, evals, params_policy, int(seed), cols)
+        amps, index = _closed_grid(name, grid, energies, mults, evals, params_policy, int(seed),
+                                   cols)
     _check_norms(amps)
     r, c, hdet = invariants(amps)
-    cols["tau_numeric"] = _tangles(hdet, r, c)
-    cols["r_a"], cols["r_b"], cols["r_c"] = r.T
-    cols.update(symmetry_label_rows(amps, names=("k", "p", "m_z")))
+    measured = {"tau_numeric": _tangles(hdet, r, c), "r_a": r[:, 0], "r_b": r[:, 1],
+                "r_c": r[:, 2], **symmetry_label_rows(amps, names=("k", "p", "m_z"))}
+    cols.update(measured if index is None else {f: v[index] for f, v in measured.items()})
+    rows = len(cols["n"]) // len(grid)
     crossing = (np.diff(np.sort(energies, axis=1), axis=1) <= GAP_TOL).any(axis=1)
-    cols["delta"] = np.repeat(grid, len(amps) // len(grid))
-    cols["crossing_flag"] = np.repeat(crossing, len(amps) // len(grid))
+    cols["delta"] = np.repeat(grid, rows)
+    cols["crossing_flag"] = np.repeat(crossing, rows)
     return SweepTable(**cols)

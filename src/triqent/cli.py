@@ -96,28 +96,29 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
 _BOOL_CELLS = np.array(("0", "1"), dtype=object)
 
 
-def _column(values) -> list[str]:
+def _column(values) -> tuple[list[str], bool]:
     """The CSV/text cells of one column, formatted by the value types it
     holds: floats as %.17g, bools as 1/0, ints and anything else through
     str; None and non-finite floats give an empty cell. An int or bool
     array is formatted as a whole, any other array (a float array aside,
-    which _columns formats) as its list of values."""
+    which _columns formats) as its list of values. Also whether the column
+    holds str values, the only ones whose cells may need quoting."""
     if isinstance(values, np.ndarray):
         if values.dtype.kind == "b":
-            return _BOOL_CELLS[values.astype(np.intp)].tolist()
+            return _BOOL_CELLS[values.astype(np.intp)].tolist(), False
         if values.dtype.kind in "iu":
             distinct, back = np.unique(values, return_inverse=True)
-            return np.array(list(map(str, distinct.tolist())), dtype=object)[back].tolist()
+            return np.array(list(map(str, distinct.tolist())), dtype=object)[back].tolist(), False
         values = values.tolist()
     kinds = {_kind(t) for t in set(map(type, values)) - {type(None)}}
     if len(kinds) > 1:
-        return [c for v in values for c in _column((v,))]
+        return [c for v in values for c in _column((v,))[0]], "str" in kinds
     kind = kinds.pop() if kinds else "str"
     if kind == "float":
-        return _float_cells(np.array(values, dtype=float)).tolist()  # None becomes NaN
+        return _float_cells(np.array(values, dtype=float)).tolist(), False  # None becomes NaN
     fmt = _FORMAT[kind]
     cells = {v: "" if v is None else fmt(v) for v in dict.fromkeys(values)}
-    return list(map(cells.__getitem__, values))
+    return list(map(cells.__getitem__, values)), kind == "str"
 
 
 def _jval(x):
@@ -132,10 +133,13 @@ def _jval(x):
     return x
 
 
-def _columns(header: tuple[str, ...], columns) -> list[list[str]]:
+def _columns(header: tuple[str, ...], columns, text: list[str] | None = None) -> list[list[str]]:
     """Per column, its name and then its formatted cells. The float arrays
     of a table are formatted together in one _float_cells call, so a value
-    that several of them hold is formatted once."""
+    that several of them hold is formatted once. A text list, if given,
+    receives the header and the cells of each column that holds str
+    values: no %.17g, int or bool cell holds a delimiter, a quote or a line
+    break."""
     floats = [i for i, col in enumerate(columns)
               if isinstance(col, np.ndarray) and col.dtype.kind == "f"]
     cells = {}
@@ -143,14 +147,22 @@ def _columns(header: tuple[str, ...], columns) -> list[list[str]]:
         joined = _float_cells(np.concatenate([columns[i] for i in floats]))
         ends = np.cumsum([len(columns[i]) for i in floats])[:-1]
         cells = {i: part.tolist() for i, part in zip(floats, np.split(joined, ends))}
-    return [[name, *(cells[i] if i in cells else _column(col))]
-            for i, (name, col) in enumerate(zip(header, columns))]
+    if text is not None:
+        text += header
+    out = []
+    for i, (name, col) in enumerate(zip(header, columns)):
+        body, textual = (cells[i], False) if i in cells else _column(col)
+        if textual and text is not None:
+            text += body
+        out.append([name, *body])
+    return out
 
 
-def _plain_csv(cols: list[list[str]]) -> bool:
+def _plain_csv(cols: list[list[str]], text: list[str]) -> bool:
     """Whether csv.writer would write every cell as it is: a table of two or
-    more columns with no cell holding a delimiter, a quote or a line break."""
-    text = "".join(map("".join, cols))
+    more columns whose text (the header and the cells of its str columns,
+    from _columns) holds no delimiter, quote or line break."""
+    text = "".join(text)
     return len(cols) > 1 and not any(ch in text for ch in ',"\r\n')
 
 
@@ -162,9 +174,10 @@ def _table(header: tuple[str, ...], columns, fmt: str) -> str:
                  for col in columns]
         payload = [dict(zip(header, row)) for row in zip(*jcols)]
         return json.dumps(payload, indent=2) + "\n"
-    cols = _columns(header, columns)
+    text: list[str] = []
+    cols = _columns(header, columns, text)
     if fmt == "csv":
-        if _plain_csv(cols):
+        if _plain_csv(cols, text):
             return "\n".join(map(",".join, zip(*cols))) + "\n"
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(zip(*cols))

@@ -76,6 +76,8 @@ def entropy_from_norm(r: float, bits: bool = False) -> float:
     """
     if not isinstance(r, numbers.Real):
         raise ValidationError(f"Bloch norm must be a real number, got {r!r}")
+    if not isinstance(bits, (bool, np.bool_)):
+        raise ValidationError(f"bits must be True or False, got {bits!r}")
     # written so that NaN fails too
     if not -1e-12 <= r <= 1.0 + 1e-12:
         raise OutOfRange(f"Bloch norm {r} outside [0, 1]")

@@ -4,7 +4,6 @@ geometric tangle ansatz. Each function maps Bloch rows (..., 3), or arrays
 of R, elementwise; a BlochTriple, one row or a scalar R gives a scalar."""
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from .errors import (
     UnsupportedType,
     ValidationError,
 )
-from .qstate import _instance
+from .qstate import _check_tol, _instance
 
 SQRT3 = float(np.sqrt(3.0))
 R_W = float(1.0 / np.sqrt(3.0))
@@ -50,12 +49,6 @@ CURVE_KINDS = ("tau_max", "tau_star", "tau_up", "tau_down")
 
 # the coarse entanglement types, each with one stratum (see in_stratum)
 COARSE_TYPES = ("1", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5")
-
-
-def _check_tol(tol: float) -> None:
-    # written so that NaN fails too
-    if not isinstance(tol, numbers.Real) or not 0.0 <= tol < np.inf:
-        raise ValidationError(f"tolerance must be finite and non-negative, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -198,7 +191,7 @@ def in_stratum(kind: str, r, tol: float = 1e-9):
     if kind == "2a":
         srt = np.sort(rows, axis=-1)
         return _out((np.abs(srt[..., 2] - 1.0) <= tol) & (np.abs(srt[..., 0] - srt[..., 1]) <= tol))
-    if kind not in _STRATA:
+    if not isinstance(kind, str) or kind not in _STRATA:
         raise UnknownType(f"no stratum for type {kind!r}")
     ok = np.logical_or.reduce([_inside(rows, t, tol, sg) for t in _STRATA[kind]
                                for sg in (FACE_SIGNS if t == "face" else (None,))])

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -151,6 +152,13 @@ def _instance(x, cls):
     if not isinstance(x, cls):
         raise ValidationError(f"expected a {cls.__name__}, got {type(x).__name__}")
     return x
+
+
+def _check_tol(tol: float) -> None:
+    """ValidationError unless tol is a finite non-negative real number."""
+    # written so that NaN fails too
+    if not isinstance(tol, numbers.Real) or not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tolerance must be finite and non-negative, got {tol}")
 
 
 def _state(s) -> PureState3:

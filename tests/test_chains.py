@@ -739,31 +739,73 @@ def test_sweep_tangles_never_exceed_one(name, grid):
     assert closed_form_tangle("tfim", 1, 0.0) <= 1.0
 
 
-@pytest.mark.parametrize("policy, perturb", [("grid", 0.0), ("mc", 0.0), ("grid", 1e-3)])
-@pytest.mark.parametrize("points", (1, 9))
-def test_sweep_measures_its_whole_grid_in_one_batch(monkeypatch, policy, perturb, points):
-    calls = {"invariants": 0, "check_monogamy": 0, "_level_members": 0, "_level_tangles": 0}
+@pytest.mark.parametrize("name, policy, perturb", [
+    ("tfim", "grid", 0.0), ("xx", "grid", 0.0), ("xzx", "grid", 0.0), ("xxx", "grid", 0.0),
+    ("tfim", "mc", 0.0), ("xxx", "mc", 0.0), ("xzx", "grid", 1e-3), ("xxx", "grid", 1e-3)])
+@pytest.mark.parametrize("points", (1, 11))
+def test_sweep_measures_its_whole_grid_in_one_batch(monkeypatch, name, policy, perturb, points):
+    calls = {"check_monogamy": 0, "_level_members": 0, "_level_tangles": 0}
+    rows = {"invariants": [], "symmetry_label_rows": []}
 
     def counted(module, fname):
         fn = getattr(module, fname)
 
         def wrapper(*args, **kwargs):
-            calls[fname] += 1
+            if fname in rows:
+                rows[fname].append(len(args[0]))
+            else:
+                calls[fname] += 1
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, fname, wrapper)
 
     # the monogamy check runs inside entanglement._tangles
     counted(chains, "invariants")
+    counted(chains, "symmetry_label_rows")
     counted(entanglement, "check_monogamy")
     # the closed forms are built once per level over the whole grid
     counted(chains, "_level_members")
     counted(chains, "_level_tangles")
-    table = sweep("xxx", np.linspace(-2.0, 2.0, points).tolist(), params_policy=policy,
+    lo = -1.0 if name == "xxx" else 0.0
+    table = sweep(name, np.linspace(lo, lo + 2.0, points), params_policy=policy,
                   perturb=perturb, seed=1)
-    assert len(table) == points * (8 if perturb else 120)
-    levels = 0 if perturb else LEVEL_COUNT["xxx"]
-    assert calls == {"invariants": 1, "check_monogamy": 1,
-                     "_level_members": levels, "_level_tangles": levels}
+    assert len(table) == points * (8 if perturb else 120 if name == "xxx" else 84)
+    levels = 0 if perturb else LEVEL_COUNT[name]
+    assert calls == {"check_monogamy": 1, "_level_members": levels, "_level_tangles": levels}
+    if perturb or policy == "mc":
+        # no member repeats: each row is its own
+        distinct = len(table)
+    else:
+        # four non-degenerate levels per point and two 40-member lattices,
+        # or for xxx two lattices and a four-fold level drawn per point
+        distinct = 40 * points + 80 if name == "xxx" else 4 * points + 80
+    # each distinct member is measured once, in one batch
+    assert rows == {"invariants": [distinct], "symmetry_label_rows": [distinct]}
+
+
+@pytest.mark.parametrize("policy", ("grid", "mc"))
+@pytest.mark.parametrize("name", MODELS)
+def test_gathered_sweep_columns_equal_those_of_the_expanded_rows(monkeypatch, name, policy):
+    # 9 points keep the expanded batch within 1,365 rows (at most 120 per
+    # point), the batch sizes over which invariants gives a row the same bits
+    built = []
+    closed_grid = chains._closed_grid
+
+    def recorded(*args):
+        built.append(closed_grid(*args))
+        return built[-1]
+    monkeypatch.setattr(chains, "_closed_grid", recorded)
+    lo = -1.5 if name == "xxx" else 0.2
+    table = sweep(name, np.linspace(lo, lo + 2.0, 9), params_policy=policy, seed=6)
+    [(amps, index)] = built
+    expanded = amps[index]
+    assert len(expanded) == len(table) <= 1365
+    r, c, hdet = entanglement.invariants(expanded)
+    labels = symmetry_label_rows(expanded, names=("k", "p", "m_z"))
+    assert _same_bits(table.tau_numeric, entanglement._tangles(hdet, r, c))
+    for i, f in enumerate(("r_a", "r_b", "r_c")):
+        assert _same_bits(getattr(table, f), r[:, i]), f
+    for f, col in labels.items():
+        assert getattr(table, f).tolist() == col.tolist(), f
 
 
 @pytest.mark.parametrize("d, shift", [(0.5, 1e-8), (1e6, 1e-2)])

@@ -477,6 +477,10 @@ _BAD_VALUE_CALLS = [
     ("closed_form_tangle/level", lambda x: closed_form_tangle("xzx", x, 0.5)),
     ("degenerate_bloch_family/level", lambda x: degenerate_bloch_family("xx", x, _MEMBER)),
     ("merge_levels", lambda x: merge_levels([(0.5, 1), (x, 2)])),
+    ("merge_levels/tol", lambda x: merge_levels([(0.5, 1), (0.5, 1)], tol=x)),
+    ("merge_levels/tol-negative", lambda x: merge_levels([(0.5, 1), (0.5, 1)], tol=min(x, -1.0))),
+    ("symmetry_labels/tol", lambda x: symmetry_labels(w_state(), tol=x)),
+    ("symmetry_label_rows/tol", lambda x: symmetry_label_rows(_AMPS, tol=x)),
     ("SuperpositionParams", lambda x: SuperpositionParams(x, x)),
     ("SuperpositionParams/gamma", lambda x: SuperpositionParams(0.6, 0.8, x)),
 ]
@@ -554,6 +558,12 @@ _BAD_SHAPE_CALLS = [
     # an argument of the wrong type
     ("symmetry_label_rows/five", lambda: symmetry_label_rows(np.zeros(5))),
     ("symmetry_label_rows/text", lambda: symmetry_label_rows(["a"] * 8)),
+    ("symmetry_label_rows/names-int", lambda: symmetry_label_rows(_AMPS, names=5)),
+    ("symmetry_label_rows/tol-text", lambda: symmetry_label_rows(_AMPS, tol="x")),
+    ("symmetry_labels/tol-text", lambda: symmetry_labels(w_state(), tol="x")),
+    ("merge_levels/tol-text", lambda: merge_levels([(0.5, 1), (0.6, 1)], tol="x")),
+    ("entropy_from_norm/bits-text", lambda: entropy_from_norm(0.5, bits="x")),
+    ("in_stratum/kind-list", lambda: in_stratum(["3a"], _BT)),
     ("eigensystem/text", lambda: eigensystem("x")),
     ("pauli_string/int", lambda: pauli_string(5)),
     ("merge_levels/text", lambda: merge_levels([("a", 1)])),
@@ -593,3 +603,5 @@ def test_wrong_shapes_raise_a_validation_error(name, call):
 def test_in_stratum_refuses_unknown_types():
     with pytest.raises(UnknownType):
         in_stratum("6", _ROW)
+    with pytest.raises(UnknownType):
+        in_stratum(["3a"], _ROW)
