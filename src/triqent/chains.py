@@ -625,8 +625,10 @@ def symmetry_label_rows(amps: np.ndarray, tol: float = 1e-9,
                         names=tuple(_LABELS)) -> dict[str, np.ndarray]:
     """The symmetry labels of each row of an (n, 8) amplitude array, as one
     object array of int or None per named SymmetryLabels field (all five by
-    default), keyed by the field's name."""
+    default; a bare string is one name), keyed by the field's name."""
     _check_tol(tol)
+    if isinstance(names, str):
+        names = (names,)
     try:
         unknown = set(names) - set(_LABELS)
     except TypeError:

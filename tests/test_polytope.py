@@ -581,12 +581,34 @@ _BAD_SHAPE_CALLS = [
 ]
 
 
+# (name, call, what the refusal says); a bare string is one name, so the
+# message names it whole, not letter by letter
+_BARE_NAME_CALLS = [
+    ("run_checks/names-text", lambda: run_checks(names="no-such-check"),
+     "unknown checks: no-such-check"),
+    ("symmetry_label_rows/names-text", lambda: symmetry_label_rows(_AMPS, names="m_q"),
+     "no symmetry label named ['m_q']"),
+]
+
+
 def _refuses(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(TriqentError) as info:
             call()
     return info.value
+
+
+@pytest.mark.parametrize("name,call,message", _BARE_NAME_CALLS,
+                         ids=[n for n, _, _ in _BARE_NAME_CALLS])
+def test_a_bare_string_is_refused_as_one_name(name, call, message):
+    err = _refuses(call)
+    assert isinstance(err, ValidationError) and message in str(err)
+
+
+def test_a_bare_string_is_accepted_as_one_name():
+    assert [r.name for r in run_checks(names="normalize-phase")] == ["normalize-phase"]
+    assert list(symmetry_label_rows(_AMPS, names="m_z")) == ["m_z"]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

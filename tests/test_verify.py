@@ -2,14 +2,15 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
 
 import numpy as np
 import pytest
 
 import triqent
-from triqent import ValidationError, chains, check_names, run_checks
-from triqent import verify
+from triqent import ValidationError, canonical, chains, check_names, entanglement, polytope
+from triqent import qstate, run_checks, verify
 
 
 def test_public_names_are_listed_and_resolve():
@@ -105,3 +106,106 @@ def test_failures_are_reported_not_raised():
         assert "deliberate" in results[0].detail
     finally:
         verify._REGISTRY.pop(name, None)
+
+
+def test_results_carry_their_wall_time_outside_equality():
+    first, again = run_checks(names=["tangle-anchors", "tangle-anchors"])
+    assert first.elapsed_s > 0.0 and again.elapsed_s > 0.0
+    assert first == again
+    assert dataclasses.replace(first, elapsed_s=first.elapsed_s + 1.0) == first
+
+
+def _counting(monkeypatch, module, name) -> list:
+    """Wrap module.name so that each call's positional arguments are
+    recorded in the returned list."""
+    calls, fn = [], getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def _run(name: str) -> verify.CheckResult:
+    (result,) = run_checks(names=[name])
+    return result
+
+
+# the checks whose reference work is batched still call their one-row
+# subject once per row
+
+
+def test_type_sampler_labels_its_draws_in_one_batch(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("type-sampler called the one-row classifier")
+
+    monkeypatch.setattr(canonical, "classify", refuse)
+    labels = _counting(monkeypatch, canonical, "classify_rows")
+    draws = _counting(monkeypatch, qstate, "sample_type")
+    result = _run("type-sampler")
+    assert result.passed, result.detail
+    assert len(labels) == 1 and labels[0][0].shape == (4 * len(canonical.TYPE_KINDS) + 3, 8)
+    # four seeds per kind, each drawn twice; three coarse draws; one refusal
+    assert len(draws) == 8 * len(canonical.TYPE_KINDS) + 3 + 1
+
+
+def test_marginal_spectrum_takes_one_eigvalsh_over_its_stack(monkeypatch):
+    spectra = _counting(monkeypatch, np.linalg, "eigvalsh")
+    marginals = _counting(monkeypatch, entanglement, "reduce_one")
+    result = _run("marginal-spectrum")
+    assert result.passed, result.detail
+    assert len(spectra) == 1 and spectra[0][0].shape == (300, 2, 2)
+    assert [q for _, q in marginals] == 100 * list(qstate.QUBITS)
+
+
+def test_strata_membership_takes_one_invariants_call_per_type(monkeypatch):
+    kernel = _counting(monkeypatch, entanglement, "invariants")
+    draws = _counting(monkeypatch, qstate, "sample_type")
+    result = _run("strata-membership")
+    assert result.passed, result.detail
+    assert [len(args[0]) for args in kernel] == [120 + 4] * len(polytope.COARSE_TYPES)
+    assert [t for t, _ in draws] == [t for t in polytope.COARSE_TYPES for _ in range(4)]
+
+
+# a fault patched into a check's subject still fails the check, with the
+# message it gave before its reference work was batched
+
+
+def test_type_sampler_still_catches_a_wrong_type(monkeypatch):
+    kinds = canonical.TYPE_KINDS
+    wrong = dict(zip(kinds, kinds[1:] + kinds[:1]))
+    real = qstate.sample_type
+    monkeypatch.setattr(qstate, "sample_type", lambda t, seed: real(wrong.get(t, t), seed))
+    result = _run("type-sampler")
+    assert not result.passed
+    assert result.detail == f"asked for {kinds[0]}, classified as {kinds[1]}"
+
+
+def test_marginal_spectrum_still_catches_one_trace_error(monkeypatch):
+    real, calls = entanglement.reduce_one, []
+
+    def off(s, qubit):
+        # the 150th marginal's trace is 1 + 1e-9
+        den = real(s, qubit)
+        calls.append(qubit)
+        if len(calls) != 150:
+            return den
+        return entanglement.Qubit1Density(den.rho + np.diag([1e-9, 0.0]), den.bloch)
+
+    monkeypatch.setattr(entanglement, "reduce_one", off)
+    result = _run("marginal-spectrum")
+    assert not result.passed and result.detail == "assertion failed"
+
+
+def test_strata_membership_still_names_a_stray_draw(monkeypatch):
+    # the product type's draws replaced by GHZ, whose Bloch norms are 0
+    kind = polytope.COARSE_TYPES[0]
+    real = qstate.sample_type
+    monkeypatch.setattr(qstate, "sample_type",
+                        lambda t, seed: verify._GHZ if t == kind else real(t, seed))
+    result = _run("strata-membership")
+    assert not result.passed
+    assert result.detail == (f"type {kind} sample left its stratum at "
+                             f"r = {tuple(verify._GHZ.invariants[0])}")
