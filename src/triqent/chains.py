@@ -767,16 +767,18 @@ def _random_params(m: int, rng: np.random.Generator) -> SuperpositionParams:
 
 
 def _closed_grid(name: str, d: np.ndarray, energies: np.ndarray, mults, evals: np.ndarray,
-                 policy: str, seed: int, cols: dict[str, np.ndarray]):
+                 policy: str, seed: int, levels: dict[str, np.ndarray]):
     """The closed-form members of an unperturbed grid d (P,), each level
     paired with its numeric energies from evals (P, 8): the distinct member
-    rows (D, 8), and the index (P * M,) of each output row into them, the
-    same M members at each point. A level's members are built at their own
-    lead, once per sweep for the lattice and once per point otherwise. Fills
-    the n, energy_numeric, energy_closed, multiplicity and tau_closed
-    columns of cols. A level matches when its numeric energies lie within
-    GAP_TOL of the closed one, scaled by the point's largest |eigenvalue|
-    where that exceeds 1, since eigh rounds relative to the spectrum.
+    rows (D, 8), the index (P * M,) of each output row into them, the same
+    M members at each point, their closed tangles (D,), and the index
+    (P * M,) of each output row into the (point, level) pairs, point-major.
+    A level's members are built at their own lead, once per sweep for the
+    lattice and once per point otherwise. Fills the n, energy_numeric,
+    energy_closed and multiplicity columns of levels, one row per (point,
+    level). A level matches when its numeric energies lie within GAP_TOL of
+    the closed one, scaled by the point's largest |eigenvalue| where that
+    exceeds 1, since eigh rounds relative to the spectrum.
 
     Each level is one array operation over the whole grid. Only the member
     draws run per point: the mc policy and four-fold levels draw from one
@@ -830,12 +832,80 @@ def _closed_grid(name: str, d: np.ndarray, energies: np.ndarray, mults, evals: n
         start += lead * width
     index = np.concatenate(index_blocks, axis=1).ravel()
     counts = [b.shape[1] for b in index_blocks]
-    cols["n"] = np.tile(np.repeat(np.arange(len(mults)), counts), len(d))
-    cols["energy_numeric"] = np.repeat(e_num, counts, axis=1).ravel()
-    cols["energy_closed"] = np.repeat(energies, counts, axis=1).ravel()
-    cols["multiplicity"] = np.tile(np.repeat(mults, counts), len(d))
-    cols["tau_closed"] = np.concatenate(tau_blocks)[index]
-    return np.concatenate(member_blocks), index
+    levels["n"] = np.tile(np.arange(len(mults)), len(d))
+    levels["energy_numeric"] = e_num.ravel()
+    levels["energy_closed"] = energies.ravel()
+    levels["multiplicity"] = np.tile(mults, len(d))
+    level_index = np.repeat(np.arange(e_num.size), np.tile(counts, len(d)))
+    return np.concatenate(member_blocks), index, np.concatenate(tau_blocks), level_index
+
+
+def _measured(amps: np.ndarray, tau_closed: np.ndarray) -> dict[str, np.ndarray]:
+    """The member columns of a sweep, k to r_c, from its distinct member
+    rows and their closed tangles: the norm check, invariants, the monogamy
+    check and the labels, each one batch over the rows."""
+    _check_norms(amps)
+    r, c, hdet = invariants(amps)
+    tau = _tangles(hdet, r, c)
+    return {**symmetry_label_rows(amps, names=("k", "p", "m_z")), "tau_numeric": tau,
+            "tau_closed": tau_closed, "r_a": r[:, 0], "r_b": r[:, 1], "r_c": r[:, 2]}
+
+
+def _sweep_factors(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
+                   seed: int = 0) -> list[tuple[dict[str, np.ndarray], np.ndarray | None]]:
+    """The rows of sweep() as factors, in SWEEP_FIELDS order. A factor is a
+    block of adjacent columns over its distinct rows, by name, and the index
+    of each row into them, or None where it has one row per row. An
+    unperturbed sweep has three: delta, n, energy_numeric, energy_closed and
+    multiplicity per (point, level); k to r_c per distinct member (one row
+    per row where no member repeats, as on the mc policy); crossing_flag per
+    point. A perturbed sweep, whose every row is its own, is one factor.
+    """
+    name = str(model)
+    _check_model(name)
+    if params_policy not in ("grid", "mc"):
+        raise ValidationError(f"params_policy must be grid or mc, got {params_policy!r}")
+    if not isinstance(perturb, numbers.Real) or not _finite(perturb):
+        raise ValidationError(f"perturb must be a finite real number, got {perturb!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    grid = _couplings(name, delta_grid)
+    if grid.ndim != 1:
+        raise ValidationError(f"delta grid must be one-dimensional, got shape {grid.shape}")
+    if (np.diff(grid) <= 0.0).any():
+        raise ValidationError("delta grid must be strictly increasing")
+    if not len(grid):
+        return [({f: np.empty(0, dtype=_SWEEP_DTYPES.get(f, float)) for f in SWEEP_FIELDS},
+                 None)]
+    perturb = float(perturb)
+    h = build_hamiltonian(name, grid)
+    if perturb != 0.0:
+        h = h + perturb * _PAULI_TABLE["ZII"]
+    evals, vecs = eigensystem(h)
+    energies, mults = _energies(name, grid)
+    energies = np.stack(energies, axis=1)
+    crossing = (np.diff(np.sort(energies, axis=1), axis=1) <= GAP_TOL).any(axis=1)
+    if perturb != 0.0:
+        amps = vecs.swapaxes(1, 2).reshape(-1, 8)
+        # levels of opposite sign near the float limit (perturb ~ 1e308) differ
+        # by more than a float holds, and an overflowed gap is no group either
+        with np.errstate(over="ignore"):
+            group = np.abs(evals[:, :, None] - evals[:, None, :]) <= GAP_TOL
+        closed = np.full(len(amps), np.nan)
+        return [({"delta": np.repeat(grid, 8), "n": np.tile(_EIGHT, len(grid)),
+                  "energy_numeric": evals.reshape(-1), "energy_closed": closed,
+                  "multiplicity": group.sum(axis=2).reshape(-1), **_measured(amps, closed),
+                  "crossing_flag": np.repeat(crossing, 8)}, None)]
+    levels = {"delta": np.repeat(grid, len(mults))}
+    amps, index, tau_closed, level_index = _closed_grid(
+        name, grid, energies, mults, evals, params_policy, int(seed), levels)
+    members = _measured(amps, tau_closed)
+    if len(amps) == len(index):
+        # no member repeats, so the index only orders them
+        members, index = {f: v[index] for f, v in members.items()}, None
+    rows = len(level_index) // len(grid)
+    return [(levels, level_index), (members, index),
+            ({"crossing_flag": crossing}, np.repeat(np.arange(len(grid)), rows))]
 
 
 def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
@@ -860,50 +930,7 @@ def sweep(model, delta_grid, params_policy: str = "grid", perturb: float = 0.0,
     integer. A sweep is byte-identical from
     run to run, but a row's last bit may depend on the batch size.
     """
-    name = str(model)
-    _check_model(name)
-    if params_policy not in ("grid", "mc"):
-        raise ValidationError(f"params_policy must be grid or mc, got {params_policy!r}")
-    if not isinstance(perturb, numbers.Real) or not _finite(perturb):
-        raise ValidationError(f"perturb must be a finite real number, got {perturb!r}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    grid = _couplings(name, delta_grid)
-    if grid.ndim != 1:
-        raise ValidationError(f"delta grid must be one-dimensional, got shape {grid.shape}")
-    if (np.diff(grid) <= 0.0).any():
-        raise ValidationError("delta grid must be strictly increasing")
-    if not len(grid):
-        return SweepTable(**{f: np.empty(0, dtype=_SWEEP_DTYPES.get(f, float))
-                             for f in SWEEP_FIELDS})
-    perturb = float(perturb)
-    h = build_hamiltonian(name, grid)
-    if perturb != 0.0:
-        h = h + perturb * _PAULI_TABLE["ZII"]
-    evals, vecs = eigensystem(h)
-    energies, mults = _energies(name, grid)
-    energies = np.stack(energies, axis=1)
-    cols: dict[str, np.ndarray] = {}
-    if perturb != 0.0:
-        amps, index = vecs.swapaxes(1, 2).reshape(-1, 8), None
-        cols["n"] = np.tile(_EIGHT, len(grid))
-        cols["energy_numeric"] = evals.reshape(-1)
-        cols["energy_closed"] = cols["tau_closed"] = np.full(len(amps), np.nan)
-        # levels of opposite sign near the float limit (perturb ~ 1e308) differ
-        # by more than a float holds, and an overflowed gap is no group either
-        with np.errstate(over="ignore"):
-            group = np.abs(evals[:, :, None] - evals[:, None, :]) <= GAP_TOL
-        cols["multiplicity"] = group.sum(axis=2).reshape(-1)
-    else:
-        amps, index = _closed_grid(name, grid, energies, mults, evals, params_policy, int(seed),
-                                   cols)
-    _check_norms(amps)
-    r, c, hdet = invariants(amps)
-    measured = {"tau_numeric": _tangles(hdet, r, c), "r_a": r[:, 0], "r_b": r[:, 1],
-                "r_c": r[:, 2], **symmetry_label_rows(amps, names=("k", "p", "m_z"))}
-    cols.update(measured if index is None else {f: v[index] for f, v in measured.items()})
-    rows = len(cols["n"]) // len(grid)
-    crossing = (np.diff(np.sort(energies, axis=1), axis=1) <= GAP_TOL).any(axis=1)
-    cols["delta"] = np.repeat(grid, rows)
-    cols["crossing_flag"] = np.repeat(crossing, rows)
-    return SweepTable(**cols)
+    return SweepTable(**{f: col if index is None else col[index]
+                         for cols, index in _sweep_factors(model, delta_grid, params_policy,
+                                                           perturb, seed)
+                         for f, col in cols.items()})

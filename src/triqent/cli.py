@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import re
@@ -158,6 +159,69 @@ def _columns(header: tuple[str, ...], columns, text: list[str] | None = None) ->
     return out
 
 
+class Factor:
+    """A block of adjacent table columns over its distinct rows, each column
+    a sequence of values as _table takes them, and the index (an integer
+    array) of each output row into those rows; None where the block has one
+    row per output row. A plain class, since a NamedTuple takes ten times
+    as long to create at start-up."""
+
+    __slots__ = ("columns", "index")
+
+    def __init__(self, columns: list, index: np.ndarray | None = None):
+        self.columns, self.index = columns, index
+
+
+def _factors(header: tuple[str, ...], columns) -> list[Factor]:
+    """The factors of a table given as Factors or as plain columns, which
+    are one factor. Refuses a table whose columns do not match its header in
+    number or do not agree in their row counts, and an index that points
+    outside its factor's rows."""
+    factors = list(columns)
+    if not any(isinstance(f, Factor) for f in factors):
+        factors = [Factor(factors)]
+    rows = set()
+    for f in factors:
+        if not isinstance(f, Factor) or not f.columns:
+            raise ValueError("a table is a list of plain columns or of factors with columns")
+        lengths = {len(col) for col in f.columns}
+        if len(lengths) > 1:
+            raise ValueError(f"a table has columns of {sorted(lengths)} rows")
+        if f.index is not None and len(f.index):
+            if f.index.min() < 0 or f.index.max() >= lengths.pop():
+                raise ValueError("a factor's index points outside its rows")
+        rows |= lengths if f.index is None else {len(f.index)}
+    if len(rows) > 1:
+        raise ValueError(f"a table has factors of {sorted(rows)} rows")
+    width = sum(len(f.columns) for f in factors)
+    if width != len(header):
+        raise ValueError(f"a table has {len(header)} names and {width} columns")
+    return factors
+
+
+def _take(values, index: np.ndarray | None) -> list:
+    """The values at index, or all of them where index is None."""
+    if index is None:
+        return values
+    # an object array gathers faster than a Python loop does
+    return np.fromiter(values, dtype=object, count=len(values))[index].tolist()
+
+
+def _joined(blocks, sep: str):
+    """The lines of a table from its factors' formatted columns, each a
+    name and its cells over the factor's distinct rows: a factor with an
+    index joins each of its distinct rows once and gathers the joined
+    pieces, a factor with one row per row gives its columns as they are."""
+    parts = []
+    for cols, index in blocks:
+        if index is None:
+            parts += cols
+        else:
+            pieces = list(map(sep.join, zip(*cols)))
+            parts.append([pieces[0], *_take(pieces[1:], index)])
+    return map(sep.join, zip(*parts))
+
+
 def _plain_csv(cols: list[list[str]], text: list[str]) -> bool:
     """Whether csv.writer would write every cell as it is: a table of two or
     more columns whose text (the header and the cells of its str columns,
@@ -167,24 +231,37 @@ def _plain_csv(cols: list[list[str]], text: list[str]) -> bool:
 
 
 def _table(header: tuple[str, ...], columns, fmt: str) -> str:
-    """A table given as one sequence of values per header name: a tuple,
-    a list or a numpy array."""
+    """A table given as one sequence of values per header name (a tuple, a
+    list or a numpy array), or as a list of Factors whose columns, in order,
+    are those of the header. The float values of all factors are formatted
+    in one pass, and each distinct row of a factor is joined once."""
+    factors = _factors(header, columns)
     if fmt == "json":
-        jcols = [list(map(_jval, col.tolist() if isinstance(col, np.ndarray) else col))
-                 for col in columns]
+        jcols = [_take(list(map(_jval, col.tolist() if isinstance(col, np.ndarray) else col)),
+                       f.index) for f in factors for col in f.columns]
         payload = [dict(zip(header, row)) for row in zip(*jcols)]
         return json.dumps(payload, indent=2) + "\n"
     text: list[str] = []
-    cols = _columns(header, columns, text)
+    cols = _columns(header, [col for f in factors for col in f.columns], text)
+    parts = iter(cols)
+    blocks = [(list(itertools.islice(parts, len(f.columns))), f.index) for f in factors]
     if fmt == "csv":
         if _plain_csv(cols, text):
-            return "\n".join(map(",".join, zip(*cols))) + "\n"
+            return "\n".join(_joined(blocks, ",")) + "\n"
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(zip(*cols))
+        full = [[col[0], *_take(col[1:], index)] for block, index in blocks for col in block]
+        csv.writer(buf, lineterminator="\n").writerows(zip(*full))
         return buf.getvalue()
-    cols = [[c.ljust(w) for c in col] for col, w in
-            zip(cols, (max(map(len, col)) for col in cols))]
-    return "".join("  ".join(row).rstrip() + "\n" for row in zip(*cols))
+    for i, (block, index) in enumerate(blocks):
+        if index is not None:
+            # a width counts the name and the cells that some row shows
+            shown = np.zeros(len(block[0]), dtype=bool)
+            shown[0] = True
+            shown[1:][index] = True
+        widths = [max(map(len, col if index is None else itertools.compress(col, shown)))
+                  for col in block]
+        blocks[i] = [[c.ljust(w) for c in col] for col, w in zip(block, widths)], index
+    return "".join(line.rstrip() + "\n" for line in _joined(blocks, "  "))
 
 
 def _record(header: tuple[str, ...], row: tuple, fmt: str) -> str:
@@ -321,15 +398,16 @@ def _cmd_sample(args) -> tuple[str, int]:
     if args.n < 1:
         raise ValidationError(f"n must be >= 1, got {args.n}")
     kinds = polytope.COARSE_TYPES if args.type == "all" else (args.type,)
-    labels, blocks = [], []
+    blocks = []
     for i, kind in enumerate(kinds):
         sub = int(np.random.default_rng([args.seed, i]).integers(1 << 32))
         amps = qstate._sample_type_batch(kind, args.n, sub)
         r, _, hdet = entanglement.invariants(amps)
-        labels += [kind] * args.n
         blocks.append(np.column_stack((r, polytope.big_r(r), entanglement._tangles(hdet),
                                        polytope.dist_to_diagonal(r))))
-    return _table(SAMPLE_FIELDS, [labels, *np.concatenate(blocks).T], args.format), 0
+    # the type column is one row per type, repeated over its n samples
+    types = Factor([kinds], np.repeat(np.arange(len(kinds)), args.n))
+    return _table(SAMPLE_FIELDS, [types, Factor(list(np.concatenate(blocks).T))], args.format), 0
 
 
 def _cmd_sweep(args) -> tuple[str, int]:
@@ -337,10 +415,12 @@ def _cmd_sweep(args) -> tuple[str, int]:
         raise ValidationError(f"points must be >= 1, got {args.points}")
     _require_finite(delta_min=args.delta_min, delta_max=args.delta_max)
     grid = np.linspace(args.delta_min, args.delta_max, args.points)
-    table = chains.sweep(args.model, grid, params_policy=args.params_policy,
-                         perturb=args.perturb, seed=args.seed)
-    columns = [getattr(table, f) for f in chains.SWEEP_FIELDS]
-    return _table(chains.SWEEP_FIELDS, columns, args.format), 0
+    # the rows as chains.sweep gives them, written from their factors
+    factors = chains._sweep_factors(args.model, grid, params_policy=args.params_policy,
+                                    perturb=args.perturb, seed=args.seed)
+    header = tuple(f for cols, _ in factors for f in cols)
+    return _table(header, [Factor(list(cols.values()), index) for cols, index in factors],
+                  args.format), 0
 
 
 def _cmd_verify(args) -> tuple[str, int]:

@@ -796,7 +796,7 @@ def test_gathered_sweep_columns_equal_those_of_the_expanded_rows(monkeypatch, na
     monkeypatch.setattr(chains, "_closed_grid", recorded)
     lo = -1.5 if name == "xxx" else 0.2
     table = sweep(name, np.linspace(lo, lo + 2.0, 9), params_policy=policy, seed=6)
-    [(amps, index)] = built
+    [(amps, index, _, _)] = built
     expanded = amps[index]
     assert len(expanded) == len(table) <= 1365
     r, c, hdet = entanglement.invariants(expanded)
@@ -806,6 +806,37 @@ def test_gathered_sweep_columns_equal_those_of_the_expanded_rows(monkeypatch, na
         assert _same_bits(getattr(table, f), r[:, i]), f
     for f, col in labels.items():
         assert getattr(table, f).tolist() == col.tolist(), f
+
+
+@pytest.mark.parametrize("name, policy, perturb", [
+    ("tfim", "grid", 0.0), ("xxx", "grid", 0.0), ("xxx", "mc", 0.0), ("xx", "grid", 1e-3)])
+def test_sweep_factors_expand_to_the_sweep(name, policy, perturb):
+    grid = np.linspace(-1.0 if name == "xxx" else 0.0, 1.5, 6)
+    factors = chains._sweep_factors(name, grid, params_policy=policy, perturb=perturb, seed=3)
+    assert tuple(f for cols, _ in factors for f in cols) == SWEEP_FIELDS
+    table = sweep(name, grid, params_policy=policy, perturb=perturb, seed=3)
+    for cols, index in factors:
+        for f, col in cols.items():
+            rows, expect = col if index is None else col[index], getattr(table, f)
+            assert rows.dtype == expect.dtype, f
+            if rows.dtype == object:
+                assert rows.tolist() == expect.tolist(), f
+            else:
+                assert rows.tobytes() == expect.tobytes(), f
+    if perturb:
+        # every row is its own
+        assert [index for _, index in factors] == [None]
+        return
+    (levels, level_index), (members, member_index), (crossing, point_index) = factors
+    # one row per (point, level), per distinct member and per point
+    assert len(levels["n"]) == len(grid) * LEVEL_COUNT[name]
+    assert len(crossing["crossing_flag"]) == len(grid)
+    assert np.array_equal(point_index, np.repeat(np.arange(len(grid)), len(table) // len(grid)))
+    if policy == "mc":
+        # no member repeats, so the members are one row per row
+        assert member_index is None
+    else:
+        assert len(members["k"]) < len(member_index) == len(table)
 
 
 @pytest.mark.parametrize("d, shift", [(0.5, 1e-8), (1e6, 1e-2)])

@@ -531,24 +531,29 @@ _VALUES = {
 _VALUES["mixed"] = st.one_of(*_VALUES.values())
 
 
+def _drawn_column(draw, n: int):
+    """(column, values): n values drawn from a pool of at most four, so
+    values repeat, given as a tuple, a list or a numpy array."""
+    kind = draw(st.sampled_from(sorted(_VALUES)))
+    pool = draw(st.lists(_VALUES[kind], min_size=1, max_size=4))
+    values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    box = draw(st.sampled_from(("tuple", "list", "array")))
+    if box == "array":
+        homogeneous = kind in ("float", "int", "bool", "str")
+        return np.array(values, dtype=None if homogeneous else object), values
+    return (tuple(values) if box == "tuple" else values), values
+
+
 @st.composite
 def _tables(draw):
     """(columns, naive cells): 1 to 4 columns of one row count, each drawn
-    from a pool of at most four values, so values repeat, and given as a
-    tuple, a list or a numpy array."""
+    by _drawn_column."""
     n = draw(st.integers(0, 8))
     columns, cells = [], []
     for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(sorted(_VALUES)))
-        pool = draw(st.lists(_VALUES[kind], min_size=1, max_size=4))
-        values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        column, values = _drawn_column(draw, n)
         cells.append([_naive_cell(v) for v in values])
-        box = draw(st.sampled_from(("tuple", "list", "array")))
-        if box == "array":
-            homogeneous = kind in ("float", "int", "bool", "str")
-            columns.append(np.array(values, dtype=None if homogeneous else object))
-        else:
-            columns.append(tuple(values) if box == "tuple" else values)
+        columns.append(column)
     return columns, cells
 
 
@@ -565,6 +570,110 @@ def test_tables_equal_a_naive_per_cell_writer(table):
     text = "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
                    for row in zip(*cols))
     assert _table(header, columns, "text") == text
+
+
+@st.composite
+def _factored_tables(draw):
+    """(factors, expanded columns, naive cells): 1 to 3 factors of 1 to 3
+    columns each, drawn by _drawn_column over the factor's distinct rows,
+    with an index of n random rows into them or none, where the factor has
+    one row per row. The distinct rows repeat, and some may be shown by no
+    row."""
+    n = draw(st.integers(0, 8))
+    factors, columns, cells = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            index = None
+            distinct = n
+        else:
+            distinct = draw(st.integers(1 if n else 0, 5))
+            index = np.array(draw(st.lists(st.integers(0, max(distinct - 1, 0)), min_size=n,
+                                           max_size=n)), dtype=np.intp)
+        rows = range(n) if index is None else index.tolist()
+        block = []
+        for _ in range(draw(st.integers(1, 3))):
+            column, values = _drawn_column(draw, distinct)
+            block.append(column)
+            expanded = [values[i] for i in rows]
+            columns.append(expanded)
+            cells.append([_naive_cell(v) for v in expanded])
+        factors.append(cli.Factor(block, index))
+    return factors, columns, cells
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_factored_tables())
+def test_factored_tables_equal_a_naive_per_cell_writer(table):
+    factors, columns, cells = table
+    header = tuple(f"c{i}" for i in range(len(columns)))
+    cols = [[name, *col] for name, col in zip(header, cells)]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(zip(*cols))
+    assert _table(header, factors, "csv") == buf.getvalue()
+    widths = [max(map(len, col)) for col in cols]
+    text = "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
+                   for row in zip(*cols))
+    assert _table(header, factors, "text") == text
+    assert _table(header, factors, "json") == _table(header, columns, "json")
+
+
+def test_tables_whose_row_counts_disagree_are_refused():
+    one, two = cli.Factor([(1.0,)], None), cli.Factor([(1.0, 2.0)], None)
+    for header, columns in [
+        (("a", "b"), [(1, 2), (3,)]),
+        (("a", "b"), [one, two]),
+        (("a", "b"), [one, cli.Factor([("x", "y")], np.array([0, 1]))]),
+        # an index outside its factor's rows
+        (("a", "b"), [two, cli.Factor([("x", "y")], np.array([0, 2]))]),
+        (("a", "b"), [two, cli.Factor([("x", "y")], np.array([0, -1]))]),
+        (("a", "b"), [two, cli.Factor([("x", "y"), ("z",)], np.array([0, 1]))]),
+        # a table is factors or plain columns, as many as its names
+        (("a", "b"), [two, (3, 4)]),
+        (("a", "b", "c"), [(1, 2), (3, 4)]),
+        (("a",), [cli.Factor([], None)]),
+    ]:
+        for fmt in ("csv", "text", "json"):
+            with pytest.raises(ValueError):
+                _table(header, columns, fmt)
+
+
+# each model on the grid policy, xxx on mc and a perturbed sweep: the six
+# kinds of chain-sweep job
+SWEEP_JOBS = [("tfim", "grid", "0"), ("xx", "grid", "0"), ("xxx", "grid", "0"),
+              ("xzx", "grid", "0"), ("xxx", "mc", "0"), ("xzx", "grid", "2e-3")]
+
+
+@pytest.mark.parametrize("seed", (0, 7, 12))
+@pytest.mark.parametrize("model, policy, perturb", SWEEP_JOBS)
+def test_sweep_output_equals_the_table_of_its_expanded_rows(capsys, model, policy, perturb,
+                                                            seed):
+    lo, hi = ("-1.5", "1.5") if model == "xxx" else ("0", "2")
+    args = ["--model", model, "--delta-min", lo, "--delta-max", hi, "--points", "9",
+            "--params-policy", policy, "--perturb", perturb, "--seed", str(seed)]
+    table = chains.sweep(model, np.linspace(float(lo), float(hi), 9), params_policy=policy,
+                         perturb=float(perturb), seed=seed)
+    columns = [getattr(table, f) for f in chains.SWEEP_FIELDS]
+    for fmt in ("csv", "text", "json"):
+        code, out, err = run(capsys, "sweep", *args, "--format", fmt)
+        assert code == 0 and err == ""
+        assert out == _table(chains.SWEEP_FIELDS, columns, fmt), fmt
+
+
+def test_a_grid_sweep_formats_only_its_factors_float_values(monkeypatch):
+    calls = []
+    float_cells = cli._float_cells
+
+    def counted(x):
+        calls.append(len(x))
+        return float_cells(x)
+    monkeypatch.setattr(cli, "_float_cells", counted)
+    code = main(["sweep", "--model", "tfim", "--delta-min", "0", "--delta-max", "2",
+                 "--points", "11", "--out", os.devnull])
+    assert code == 0
+    # delta and both energies of each (point, level) pair, both tangles and
+    # the Bloch norms of each distinct member: 4 per point and the 80 of the
+    # lattice, where the 924 rows hold 8 * 924 = 7,392 float cells
+    assert calls == [3 * 11 * 6 + 5 * (4 * 11 + 80)]
 
 
 def _dyadic_ties(rng, per_scale: int) -> np.ndarray:
